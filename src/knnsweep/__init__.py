@@ -1,9 +1,9 @@
 """knnsweep: pick the best k for kNN classification in one pass.
 
-Cross-validated accuracy for every neighborhood size is computed from a
-single fold-masked, row-sorted distance matrix instead of re-running the
-classifier per k. A brute-force cross-validation oracle is included for
-verification and benchmarking.
+Cross-validated accuracy for every neighborhood size is computed from one
+sorted cross-fold neighbor list per row, a block of rows at a time, instead
+of re-running the classifier per k. A brute-force cross-validation oracle is
+included for verification and benchmarking.
 """
 
 __version__ = "0.1.0"
@@ -34,6 +34,7 @@ from .sweep import (
     KSearchReport,
     accuracy_curve_export,
     classify_at_k,
+    fused_sweep,
     select_k,
     sweep,
 )
@@ -43,7 +44,7 @@ __all__ = [
     "METRICS", "DEFAULT_MEMORY_BUDGET", "SortedDistanceMatrix", "pairwise_distance",
     "build_sorted_matrix", "estimate_footprint", "dump_matrix", "load_matrix_dump",
     "TIE_POLICIES", "AccuracyMatrix", "KSearchReport", "classify_at_k", "sweep",
-    "select_k", "accuracy_curve_export",
+    "fused_sweep", "select_k", "accuracy_curve_export",
     "KSchedule", "knn_classify", "cross_validate", "logarithmic_schedule",
     "full_schedule", "naive_search", "FoldDistanceCache",
 ]

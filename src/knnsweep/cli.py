@@ -1,22 +1,32 @@
 """Command-line front end: optimize | bench | curves.
 
-Timings wrap the core computation only (distance, sort, sweep phases, or the
-naive total); file I/O and parsing sit outside every timed region. With
---repeat N each timed phase reports the minimum over N runs.
+Timings wrap the core computation only (distance, sort, sweep phases and
+their total, or the naive total); file I/O and parsing sit outside every
+timed region. With --repeat N each timed phase reports the minimum over N
+runs.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
-import time
 from pathlib import Path
 
 from . import __version__
 from .dataset import generate_synthetic, load_csv, stratified_folds
-from .distance import DEFAULT_MEMORY_BUDGET, METRICS, build_sorted_matrix
+# build_sorted_matrix and sweep are unused here but stay importable from this
+# module: perfbench/child.py wraps them (with load_csv, stratified_folds and
+# select_k) by attribute
+from .distance import DEFAULT_MEMORY_BUDGET, METRICS, build_sorted_matrix  # noqa: F401
 from .errors import BadParams, IoError, KnnSweepError, ValidationError
 from .oracle import full_schedule, logarithmic_schedule, naive_search
-from .sweep import TIE_POLICIES, accuracy_curve_export, select_k, sweep
+from .sweep import (  # noqa: F401
+    TIE_POLICIES,
+    accuracy_curve_export,
+    fused_sweep,
+    select_k,
+    sweep,
+)
 
 MODES = ("sweep", "naive-full", "naive-log")
 CURVE_FOLD_COUNTS = (3, 5, 10, 20)
@@ -53,18 +63,11 @@ def run_mode(mode, dataset, folds, args):
     """
     best = None
     report = None
-    for _ in range(max(1, args.repeat)):
+    for _ in range(args.repeat):
         if mode == "sweep":
-            matrix = build_sorted_matrix(dataset, folds, args.metric,
-                                         memory_budget=args.memory_budget)
-            t0 = time.perf_counter()
-            acc = sweep(matrix, folds, dataset.labels, args.tie_policy)
-            t_sweep = time.perf_counter() - t0
-            seconds = {"distance": matrix.build_seconds["distance"],
-                       "sort": matrix.build_seconds["sort"],
-                       "sweep": t_sweep}
-            seconds["total"] = sum(seconds.values())
-            report = select_k(acc, timing=seconds)
+            acc, seconds = fused_sweep(dataset, folds, args.metric, args.tie_policy,
+                                       memory_budget=args.memory_budget)
+            report = select_k(acc)
         else:
             schedule = (full_schedule(folds.k_max) if mode == "naive-full"
                         else logarithmic_schedule(folds.k_max))
@@ -75,9 +78,7 @@ def run_mode(mode, dataset, folds, args):
             best = seconds
         else:
             best = {k: min(best[k], seconds[k]) for k in best}
-    report = type(report)(best_k_per_fold=report.best_k_per_fold,
-                          k_star=report.k_star, curve=report.curve,
-                          evaluated_k=report.evaluated_k, timing=best)
+    report = dataclasses.replace(report, timing=best)
     return report, best
 
 
@@ -187,7 +188,9 @@ def build_parser():
         p.add_argument("--metric", choices=METRICS, default="euclidean")
         p.add_argument("--tie-policy", choices=TIE_POLICIES, default="smallest_code")
         p.add_argument("--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET,
-                       help="refuse to build matrices larger than this many bytes")
+                       help="bound on the sweep's working memory in bytes; row blocks "
+                            "shrink to fit, and the run is refused only when one "
+                            "row does not fit")
         p.add_argument("--threads", type=int, default=1,
                        help="cap on internal parallelism (results are invariant)")
         p.add_argument("--repeat", type=int, default=1,
@@ -216,10 +219,19 @@ def build_parser():
     return parser
 
 
+def check_args(args):
+    """Reject option values argparse accepts but the run cannot use."""
+    if args.seed < 0:
+        raise BadParams(f"--seed must be >= 0, got {args.seed}")
+    if args.repeat < 1:
+        raise BadParams(f"--repeat must be >= 1, got {args.repeat}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_args(args)
         return args.func(args)
     except KnnSweepError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,8 @@ from .errors import (
     BadFoldCount,
     BadParams,
     EmptyDataset,
+    InconsistentFolds,
+    InconsistentInputs,
     NonFiniteFeature,
     ParseError,
     SingleClass,
@@ -26,7 +28,8 @@ class Dataset:
     """Numeric feature matrix with integer-encoded labels.
 
     features: (n, d) float64, labels: (n,) int codes in 0..s-1 encoded by
-    first appearance, class_names: original label strings per code.
+    first appearance, class_names: original label strings per code. Labels
+    that are not n integers in 0..s-1 raise InconsistentInputs.
     """
 
     features: np.ndarray
@@ -52,7 +55,12 @@ class Dataset:
         if not np.all(np.isfinite(self.features)):
             r, c = np.argwhere(~np.isfinite(self.features))[0]
             raise NonFiniteFeature(int(r), int(c))
-        counts = np.bincount(self.labels, minlength=self.s)
+        labels = self.labels
+        if (labels.shape != (self.n,) or not np.issubdtype(labels.dtype, np.integer)
+                or labels.min() < 0 or labels.max() >= self.s):
+            raise InconsistentInputs(
+                f"labels must be {self.n} integer codes in 0..{self.s - 1}")
+        counts = np.bincount(labels, minlength=self.s)
         if np.any(counts == 0):
             raise SingleClass("some class code in 0..s-1 never appears")
         self.features.setflags(write=False)
@@ -61,16 +69,27 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FoldAssignment:
-    """Per-row fold index in 0..f-1, stratified by class."""
+    """Per-row fold index in 0..f-1, stratified by class.
+
+    fold_sizes defaults to the count of each fold index; fold indices
+    outside 0..f-1, or fold_sizes that disagree with those counts, raise
+    InconsistentFolds.
+    """
 
     fold_of: np.ndarray
     f: int
     fold_sizes: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        sizes = np.bincount(self.fold_of, minlength=self.f)
+        fold_of = self.fold_of
+        if fold_of.size and (fold_of.min() < 0 or fold_of.max() >= self.f):
+            raise InconsistentFolds(f"fold indices must lie in 0..{self.f - 1}")
+        sizes = np.bincount(fold_of, minlength=self.f)
         if self.fold_sizes is None:
             object.__setattr__(self, "fold_sizes", sizes)
+        elif not np.array_equal(self.fold_sizes, sizes):
+            raise InconsistentFolds(
+                f"fold_sizes {list(self.fold_sizes)} disagree with fold_of counts {list(sizes)}")
         if np.any(self.fold_sizes == 0):
             raise BadFoldCount("every fold must be non-empty")
         self.fold_of.setflags(write=False)

@@ -56,7 +56,7 @@ class MemoryBudgetExceeded(KnnSweepError):
 
     def __init__(self, required, budget):
         super().__init__(
-            f"sorted distance matrix needs {required} bytes, budget is {budget}"
+            f"the run needs {required} bytes of working memory, budget is {budget}"
         )
         self.required = required
         self.budget = budget

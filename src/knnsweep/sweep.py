@@ -1,9 +1,11 @@
-"""Single ascending pass over the sorted matrix: accuracy for every k at once.
+"""Accuracy for every k at once from ascending cross-fold neighbor lists.
 
 Per-row class counters (and a shadow of summed distances for tie-breaking)
 are grown one neighbor at a time; after each depth k the prediction for every
 row is compared against ground truth and tallied per fold. Counters are never
-reset, so the whole 1..k_max range costs one traversal of the matrix.
+reset, so the whole 1..k_max range costs one traversal of each row's list.
+fused_sweep builds those lists a block of rows at a time; sweep reads them
+from a stored SortedDistanceMatrix.
 """
 
 import json
@@ -13,9 +15,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyNeighborhood, InconsistentInputs, IoError
+from .distance import (
+    DEFAULT_MEMORY_BUDGET,
+    RESORT_ROWS,
+    check_metric,
+    distance_matrix,
+    sort_rows,
+)
+from .errors import (
+    EmptyNeighborhood,
+    InconsistentFolds,
+    InconsistentInputs,
+    IoError,
+    MemoryBudgetExceeded,
+)
 
 TIE_POLICIES = ("smallest_code", "shadow_min")
+
+# Cap on one fused_sweep row block's estimated working set, in bytes. Each
+# block pays a Python-level loop over k, so larger blocks run faster but
+# raise peak memory; past this size the gain is within run-to-run noise.
+BLOCK_BYTES = 96 << 20
+# Upper bounds, per block row, of the bytes a block holds per column while
+# it is sorted and masked and per depth while it votes; the estimate adds
+# both, and tracemalloc peaks stay below it (tests/test_kernel.py).
+SORT_CELL_BYTES = 34
+VOTE_CELL_BYTES = 40
+# small allocations outside the arrays fused_sweep sizes
+FIXED_BYTES = 1 << 16
+# rows per block when sweep reads a stored matrix
+SWEEP_BLOCK_ROWS = 1024
 
 
 def check_policy(policy):
@@ -88,12 +117,11 @@ class KSearchReport:
 
 
 def sweep(matrix, folds, truth, policy="smallest_code"):
-    """Fill the accuracy matrix for every k = 1..k_max in one pass.
+    """Fill the accuracy matrix for every k = 1..k_max from a stored matrix.
 
-    At step k each row's counters take in its k-th nearest cross-fold
-    neighbor; predictions are recomputed and matches accumulate into
-    correct[k-1][fold_of[row]]. k_max = n - max fold size guarantees every
-    row has a k-th neighbor throughout.
+    Debug and test path: fused_sweep gives the same result without the
+    matrix. Row r's k-th nearest cross-fold neighbor is its vote at depth k;
+    k_max = n - max fold size guarantees every row has a k-th neighbor.
     """
     check_policy(policy)
     n = matrix.n
@@ -106,27 +134,186 @@ def sweep(matrix, folds, truth, policy="smallest_code"):
     if k_max < 1:
         raise InconsistentInputs("k_max < 1: some fold covers all but 0 rows")
 
-    s = int(truth.max()) + 1
-    fold_of = folds.fold_of
-    rows = np.arange(n)
-
-    counts = np.zeros((n, s), dtype=np.int64)
-    shadow = np.zeros((n, s), dtype=np.float64)
+    labels = matrix.labels[:, :k_max]
+    s = int(max(truth.max(), labels.max())) + 1
     correct = np.zeros((k_max, folds.f), dtype=np.int64)
-
-    neigh_labels = matrix.labels[:, :k_max]
-    neigh_dists = matrix.distances[:, :k_max]
-
-    for k in range(1, k_max + 1):
-        lab_k = neigh_labels[:, k - 1]
-        counts[rows, lab_k] += 1
-        shadow[rows, lab_k] += neigh_dists[:, k - 1]
-        pred = vote_batch(counts, shadow, policy)
-        hits = np.flatnonzero(pred == truth)
-        correct[k - 1] = np.bincount(fold_of[hits], minlength=folds.f)
-
+    by_fold = np.argsort(folds.fold_of, kind="stable")
+    for lo in range(0, n, SWEEP_BLOCK_ROWS):
+        block = by_fold[lo:lo + SWEEP_BLOCK_ROWS]
+        votes = np.ascontiguousarray(labels[block].T, dtype=np.int64)
+        dists = matrix.distances[block, :k_max].T.copy() if policy == "shadow_min" else None
+        _accumulate(correct, votes, dists, truth[block], folds.fold_of[block], s, policy)
     return AccuracyMatrix(correct=correct, fold_sizes=folds.fold_sizes.copy(),
                           k_max=k_max, f=folds.f)
+
+
+def fused_sweep(dataset, folds, metric="euclidean", policy="smallest_code",
+                memory_budget=DEFAULT_MEMORY_BUDGET):
+    """Accuracy for every k = 1..k_max, one block of rows at a time.
+
+    Per block: distances to the block's training columns, sort_rows, then
+    the incremental vote and per-fold tally of _accumulate. Rows run in
+    (fold size, fold, index) order and a block holds rows of one fold size.
+    A block inside one fold takes distances against that fold's complement
+    only; a block that spans folds takes all n columns and then drops each
+    row's own-fold entries, the same number for every row. Either way each
+    row sees its cross-fold neighbours in the order of build_sorted_matrix,
+    so the result equals sweep(build_sorted_matrix(...)) exactly.
+
+    Memory is bounded by the (k_max, f) accuracy matrix, a copy of the
+    features and one block, whose size is capped at BLOCK_BYTES and further
+    by memory_budget. Returns (AccuracyMatrix, seconds), seconds holding
+    "distance", "sort", "sweep" (vote and tally) and "total" (the whole call).
+    """
+    t_start = time.perf_counter()
+    check_metric(metric)
+    check_policy(policy)
+    n, d, s = dataset.n, dataset.d, dataset.s
+    if folds.n != n:
+        raise InconsistentFolds(f"folds cover {folds.n} rows, dataset has {n}")
+    k_max = folds.k_max
+    if k_max < 1:
+        raise InconsistentInputs("k_max < 1: some fold covers all but 0 rows")
+
+    fixed = (8 * k_max * folds.f + 16 * n * d + 64 * n
+             + 24 * RESORT_ROWS * n + FIXED_BYTES)
+    required = fixed + _row_bytes(n - int(folds.fold_sizes.min()), k_max, d, s)
+    if required > memory_budget:
+        raise MemoryBudgetExceeded(required, memory_budget)
+    cap = min(BLOCK_BYTES, memory_budget - fixed)
+
+    def rows_per_block(m):  # the budget check above lets one row always fit
+        return max(1, cap // _row_bytes(m, k_max, d, s))
+
+    features, fold_of = dataset.features, folds.fold_of
+    labels = np.asarray(dataset.labels, dtype=np.int64)
+    correct = np.zeros((k_max, folds.f), dtype=np.int64)
+    seconds = {"distance": 0.0, "sort": 0.0, "sweep": 0.0}
+    train_fold = train_x = train_labels = None
+    for block in _row_blocks(folds, rows_per_block):
+        t0 = time.perf_counter()
+        block_folds = fold_of[block]
+        single = block_folds[0] == block_folds[-1]  # a fold's rows are contiguous
+        if single and block_folds[0] != train_fold:
+            train_fold, train_x = block_folds[0], None  # free the last fold's copy first
+            train_cols = np.flatnonzero(fold_of != train_fold)
+            train_x, train_labels = features[train_cols], labels[train_cols]
+        dist = distance_matrix(features[block], train_x if single else features, metric)
+        t1 = time.perf_counter()
+
+        # each array is dropped as soon as it is used, which keeps the
+        # block within _row_bytes
+        order, sorted_d = sort_rows(dist)
+        del dist
+        if not single:
+            keep = fold_of[order] != block_folds[:, None]
+            order = order[keep].reshape(block.size, -1)
+            sorted_d = sorted_d[keep].reshape(block.size, -1)
+            del keep
+        votes = (train_labels if single else labels)[np.ascontiguousarray(order[:, :k_max].T)]
+        del order
+        dists = sorted_d[:, :k_max].T.copy() if policy == "shadow_min" else None
+        del sorted_d
+        t2 = time.perf_counter()
+
+        _accumulate(correct, votes, dists, labels[block], block_folds, s, policy)
+        del votes, dists
+        t3 = time.perf_counter()
+        seconds["distance"] += t1 - t0
+        seconds["sort"] += t2 - t1
+        seconds["sweep"] += t3 - t2
+
+    acc = AccuracyMatrix(correct=correct, fold_sizes=folds.fold_sizes.copy(),
+                         k_max=k_max, f=folds.f)
+    seconds["total"] = time.perf_counter() - t_start
+    return acc, seconds
+
+
+def _row_bytes(m, k_max, d, s):
+    """Upper bound of fused_sweep's bytes per block row with m columns."""
+    return SORT_CELL_BYTES * m + VOTE_CELL_BYTES * k_max + 8 * d + 32 * s + 128
+
+
+def _row_blocks(folds, rows_per_block):
+    """Row index blocks in (fold size, fold, index) order, one fold size each.
+
+    rows_per_block(m) is the block row cap with m columns. A fold that fills
+    at least half a fold-spanning block is cut into near-equal blocks of its
+    own rows; smaller folds are packed into blocks that span folds.
+    """
+    fold_of, sizes = folds.fold_of, folds.fold_sizes
+    order = np.lexsort((fold_of, sizes[fold_of]))  # stable: index order kept
+    row_size = sizes[fold_of[order]]
+    span = rows_per_block(folds.n)
+    for group in np.split(order, np.flatnonzero(np.diff(row_size)) + 1):
+        fs = int(sizes[fold_of[group[0]]])
+        if 2 * fs < span:
+            for lo in range(0, group.size, span):
+                yield group[lo:lo + span]
+        else:
+            pieces = -(-fs // rows_per_block(folds.n - fs))
+            for fold_rows in np.split(group, range(fs, group.size, fs)):
+                yield from np.array_split(fold_rows, pieces)
+
+
+def _accumulate(correct, votes, dists, truth, block_folds, s, policy):
+    """Add one row block's hits at every depth k into correct[k-1, fold].
+
+    votes[k-1, j] is the label of block row j's k-th nearest neighbour and
+    dists[k-1, j] its distance (read only under shadow_min); both are
+    (k_max, B) int64 / float64 arrays, and votes is overwritten. Rows of one
+    fold must be contiguous in the block.
+
+    Only the incoming label's counter changes at depth k, so the leader is
+    kept or replaced by that label: O(1) work per vote. Shadow sums add
+    distances in ascending-neighbour order, as the oracle does, so the
+    comparisons are exact.
+    """
+    k_max, b = votes.shape
+    base = np.arange(b, dtype=np.int64) * s
+    votes += base  # flat counter index row * s + label
+    if policy == "smallest_code":
+        # key = count * s + (s - 1 - label): the leader has the largest key
+        keys = np.tile(np.arange(s - 1, -1, -1, dtype=np.int64), b)
+        lead = np.empty_like(votes)
+        prev = np.zeros(b, dtype=np.int64)
+        for k in range(k_max):
+            idx = votes[k]
+            key = keys[idx]
+            key += s
+            keys[idx] = key
+            prev = np.maximum(prev, key, out=lead[k])
+        lead %= s
+        hits = lead == (s - 1 - truth)
+    else:
+        counts = np.zeros(b * s, dtype=np.int64)
+        shadow = np.zeros(b * s, dtype=np.float64)
+        top_count = np.zeros(b, dtype=np.int64)
+        top_shadow = np.zeros(b, dtype=np.float64)
+        leader = base.copy()
+        lead = np.empty_like(votes)
+        for k in range(k_max):
+            idx = votes[k]
+            count = counts[idx]
+            count += 1
+            counts[idx] = count
+            total = shadow[idx]
+            total += dists[k]
+            shadow[idx] = total
+            # enters the lead on more votes, or on equal votes with a smaller
+            # (shadow, label); only the incoming label's entries changed
+            win = (total < top_shadow) | ((total == top_shadow) & (idx < leader))
+            win &= count == top_count
+            win |= count > top_count
+            np.maximum(top_count, count, out=top_count)
+            np.copyto(top_shadow, total, where=win)
+            np.copyto(leader, idx, where=win)
+            lead[k] = leader
+        lead -= base
+        hits = lead == truth
+    del lead
+    starts = np.flatnonzero(np.r_[True, block_folds[1:] != block_folds[:-1]])
+    correct[:, block_folds[starts]] += np.add.reduceat(hits, starts, axis=1, dtype=np.int64)
 
 
 def select_k(acc, evaluated_k=None, timing=None):

@@ -68,6 +68,27 @@ class TestOptimize:
     def test_missing_input_spec(self):
         assert run(["optimize", "--folds", "2"]) == 2
 
+    def test_negative_seed_exit_code(self, toy_csv, capsys):
+        assert run(["optimize", "--input", str(toy_csv), "--folds", "2",
+                    "--seed", "-1"]) == 9  # BadParams
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("repeat", ["0", "-2"])
+    def test_nonpositive_repeat_exit_code(self, toy_csv, repeat):
+        assert run(["optimize", "--input", str(toy_csv), "--folds", "2",
+                    "--repeat", repeat]) == 9  # BadParams
+
+    def test_repeat_keeps_report(self, tmp_path):
+        outs = []
+        for repeat in ("1", "3"):
+            out = tmp_path / f"r{repeat}.json"
+            assert run(["optimize", "--synthetic", "60,3,3,0.8", "--folds", "5",
+                        "--seed", "4", "--repeat", repeat, "--output", str(out)]) == 0
+            outs.append(out)
+        assert strip_timing(outs[0]) == strip_timing(outs[1])
+        timing = json.loads(outs[1].read_text())["timing"]
+        assert list(timing) == ["distance", "sort", "sweep", "total"]
+
     def test_determinism_excluding_timing(self, tmp_path):
         outs = []
         curves = []

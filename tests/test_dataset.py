@@ -3,11 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knnsweep.dataset import Dataset, generate_synthetic, load_csv, stratified_folds
+from knnsweep.dataset import (
+    Dataset,
+    FoldAssignment,
+    generate_synthetic,
+    load_csv,
+    stratified_folds,
+)
 from knnsweep.errors import (
     BadFoldCount,
     BadParams,
     EmptyDataset,
+    InconsistentFolds,
+    InconsistentInputs,
     NonFiniteFeature,
     ParseError,
     SingleClass,
@@ -88,6 +96,30 @@ class TestLoadCsv:
         p = write_csv(tmp_path, "x,label\n0,A\n1,\n")
         with pytest.raises(ParseError):
             load_csv(p, "label")
+
+
+class TestDatasetLabels:
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [0, -1, 1], [0, 1], [0.0, 1.0, 1.0]])
+    def test_labels_outside_codes_rejected(self, labels):
+        with pytest.raises(InconsistentInputs):
+            Dataset(features=np.zeros((3, 1)), labels=np.array(labels), s=2,
+                    class_names=["a", "b"])
+
+
+class TestFoldAssignment:
+    def test_fold_index_at_least_f_rejected(self):
+        with pytest.raises(InconsistentFolds):
+            FoldAssignment(fold_of=np.array([0, 1, 2, 0]), f=2)
+
+    def test_negative_fold_index_rejected(self):
+        with pytest.raises(InconsistentFolds):
+            FoldAssignment(fold_of=np.array([0, 1, -1, 0]), f=2)
+
+    def test_fold_sizes_must_match_fold_of(self):
+        with pytest.raises(InconsistentFolds):
+            FoldAssignment(fold_of=np.array([0, 1, 0, 1]), f=2, fold_sizes=np.array([3, 1]))
+        fa = FoldAssignment(fold_of=np.array([0, 1, 0, 0]), f=2, fold_sizes=np.array([3, 1]))
+        assert fa.k_max == 1
 
 
 class TestStratifiedFolds:
