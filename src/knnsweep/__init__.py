@@ -34,7 +34,7 @@ from .sweep import (
     KSearchReport,
     accuracy_curve_export,
     classify_at_k,
-    fused_sweep,
+    row_blocks,
     select_k,
     sweep,
 )
@@ -44,7 +44,7 @@ __all__ = [
     "METRICS", "DEFAULT_MEMORY_BUDGET", "SortedDistanceMatrix", "pairwise_distance",
     "build_sorted_matrix", "estimate_footprint", "dump_matrix", "load_matrix_dump",
     "TIE_POLICIES", "AccuracyMatrix", "KSearchReport", "classify_at_k", "sweep",
-    "fused_sweep", "select_k", "accuracy_curve_export",
+    "row_blocks", "select_k", "accuracy_curve_export",
     "KSchedule", "knn_classify", "cross_validate", "logarithmic_schedule",
     "full_schedule", "naive_search", "FoldDistanceCache",
 ]

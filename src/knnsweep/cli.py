@@ -10,23 +10,17 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .dataset import generate_synthetic, load_csv, stratified_folds
-# build_sorted_matrix and sweep are unused here but stay importable from this
-# module: perfbench/child.py wraps them (with load_csv, stratified_folds and
-# select_k) by attribute
-from .distance import DEFAULT_MEMORY_BUDGET, METRICS, build_sorted_matrix  # noqa: F401
+from .distance import DEFAULT_MEMORY_BUDGET, METRICS, build_sorted_matrix
 from .errors import BadParams, IoError, KnnSweepError, ValidationError
 from .oracle import full_schedule, logarithmic_schedule, naive_search
-from .sweep import (  # noqa: F401
-    TIE_POLICIES,
-    accuracy_curve_export,
-    fused_sweep,
-    select_k,
-    sweep,
-)
+from .sweep import TIE_POLICIES, accuracy_curve_export, row_blocks, select_k, sweep
 
 MODES = ("sweep", "naive-full", "naive-log")
 CURVE_FOLD_COUNTS = (3, 5, 10, 20)
@@ -55,6 +49,32 @@ def _load_data(args):
     raise ValidationError("one of --input or --synthetic is required")
 
 
+def blocked_sweep(dataset, folds, metric="euclidean", policy="smallest_code",
+                  memory_budget=DEFAULT_MEMORY_BUDGET):
+    """Accuracy for every k = 1..k_max, one row block at a time.
+
+    Each block of row_blocks gets its sorted neighbour lists from
+    build_sorted_matrix and is tallied by sweep into one running count, so
+    no more than one block's lists exist at once. The stages are called
+    through this module's names, which perfbench/child.py wraps in spans.
+    Returns (AccuracyMatrix, seconds): "distance", "sort" and "sweep" summed
+    over the blocks, and "total" for the whole call.
+    """
+    t_start = time.perf_counter()
+    seconds = {"distance": 0.0, "sort": 0.0, "sweep": 0.0}
+    correct = np.zeros((folds.k_max, folds.f), dtype=np.int64)
+    for rows in row_blocks(dataset, folds, memory_budget):
+        block = build_sorted_matrix(dataset, folds, metric, memory_budget, rows=rows)
+        t0 = time.perf_counter()
+        acc = sweep(block, folds, dataset.labels, policy, correct=correct)
+        seconds["sweep"] += time.perf_counter() - t0
+        seconds["distance"] += block.build_seconds["distance"]
+        seconds["sort"] += block.build_seconds["sort"]
+        del block  # before the next block is built
+    seconds["total"] = time.perf_counter() - t_start
+    return acc, seconds
+
+
 def run_mode(mode, dataset, folds, args):
     """Run one optimization mode; returns (report, phase seconds).
 
@@ -65,8 +85,8 @@ def run_mode(mode, dataset, folds, args):
     report = None
     for _ in range(args.repeat):
         if mode == "sweep":
-            acc, seconds = fused_sweep(dataset, folds, args.metric, args.tie_policy,
-                                       memory_budget=args.memory_budget)
+            acc, seconds = blocked_sweep(dataset, folds, args.metric, args.tie_policy,
+                                         args.memory_budget)
             report = select_k(acc)
         else:
             schedule = (full_schedule(folds.k_max) if mode == "naive-full"

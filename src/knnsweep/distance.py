@@ -2,8 +2,9 @@
 
 The sorted matrix keeps, per row, only the cross-fold neighbors (the row's
 own fold is never a training set, so those cells would only ever hold an
-infinity sentinel). Rows are stored padded to the longest valid length;
-padding cells carry +inf distance and -1 label/source.
+infinity sentinel). It holds every row or one block of rows. Rows are stored
+padded to the longest valid length; padding cells carry +inf distance and
+-1 label/source.
 """
 
 import struct
@@ -16,6 +17,7 @@ from scipy.spatial.distance import cdist
 from .errors import (
     DimensionMismatch,
     InconsistentFolds,
+    InconsistentInputs,
     MemoryBudgetExceeded,
 )
 
@@ -30,9 +32,6 @@ ROW_OVERHEAD = 16
 BASE_OVERHEAD = 256
 
 DEFAULT_MEMORY_BUDGET = 4 << 30  # 4 GiB
-
-# rows whose tie order sort_rows fixes per pass; bounds a pass's temporaries
-RESORT_ROWS = 64
 
 
 def check_metric(metric):
@@ -68,28 +67,17 @@ def sort_rows(d):
     """Ascending order of every row of d, equal distances by column index.
 
     Gives the result of argsort(kind="stable") but runs the faster unstable
-    sort first. Only rows where it put an equal distance's larger column
-    first are fixed, RESORT_ROWS at a time: their (run of equal distances,
-    column) keys are sorted, which leaves the distances where they are.
-    Returns (order, sorted distances).
+    sort first; only the rows where it put an equal distance's larger column
+    first are sorted again, stably. Returns (order, sorted distances).
     """
-    m = d.shape[1]
     order = np.argsort(d, axis=1)
     sorted_d = np.take_along_axis(d, order, axis=1)
     wrong = sorted_d[:, 1:] == sorted_d[:, :-1]
     wrong &= order[:, 1:] < order[:, :-1]
     redo = np.flatnonzero(wrong.any(axis=1))
     del wrong
-    for lo in range(0, redo.size, RESORT_ROWS):
-        rows = redo[lo:lo + RESORT_ROWS]
-        sub = sorted_d[rows]
-        key = np.zeros((rows.size, m), dtype=np.int64)
-        np.cumsum(sub[:, 1:] != sub[:, :-1], axis=1, out=key[:, 1:])
-        del sub
-        key *= m
-        key += order[rows]
-        key.sort(axis=1)
-        order[rows] = key % m
+    if redo.size:
+        order[redo] = np.argsort(d[redo], axis=1, kind="stable")
     return order, sorted_d
 
 
@@ -108,8 +96,10 @@ def estimate_footprint(n, f):
 class SortedDistanceMatrix:
     """Per-row ascending (distance, label, source) neighbor lists.
 
-    distances/labels/sources are (n, max_len) with rows padded past
-    valid_len[r]; k_max = n - max fold size is the depth usable by every row.
+    Row j holds the neighbours of dataset row rows[j] (row j itself when rows
+    is None: a matrix of every row). distances/labels/sources are (n, max_len)
+    with rows padded past valid_len[j]; k_max = dataset size - max fold size
+    is the depth usable by every row.
     """
 
     distances: np.ndarray
@@ -121,9 +111,12 @@ class SortedDistanceMatrix:
     f: int
     metric: str
     build_seconds: dict
+    rows: np.ndarray = None
 
     def __post_init__(self):
-        for arr in (self.distances, self.labels, self.sources, self.valid_len):
+        if self.rows is None:
+            object.__setattr__(self, "rows", np.arange(self.n))
+        for arr in (self.distances, self.labels, self.sources, self.valid_len, self.rows):
             arr.setflags(write=False)
 
     def row(self, r):
@@ -133,55 +126,78 @@ class SortedDistanceMatrix:
 
 
 def build_sorted_matrix(dataset, folds, metric="euclidean",
-                        memory_budget=DEFAULT_MEMORY_BUDGET):
-    """Compute the fold-masked distance matrix and sort every row ascending.
+                        memory_budget=DEFAULT_MEMORY_BUDGET, rows=None):
+    """Sort the cross-fold neighbours of `rows` (every row by default) ascending.
 
     Same-fold pairs and the diagonal are dropped entirely. Ties on distance
     are broken by source index ascending, which makes every row fully
-    deterministic. Records wall-clock of the distance and sort phases in
-    build_seconds.
+    deterministic. Rows of one fold size are built together: rows of one
+    fold against that fold's complement; rows of several folds against all
+    n columns, after which each row drops its own fold's entries (a filter
+    keeps the sorted order, and every row drops the same number). Records
+    wall-clock of the distance and sort phases in build_seconds.
     """
     check_metric(metric)
     n = dataset.n
     if folds.n != n:
         raise InconsistentFolds(f"folds cover {folds.n} rows, dataset has {n}")
+    fold_of = folds.fold_of
+    if rows is None:
+        rows = np.arange(n)
+    else:
+        rows = np.array(rows, dtype=np.intp)
+        if rows.ndim != 1 or rows.size == 0 or rows.min() < 0 or rows.max() >= n:
+            raise InconsistentInputs(f"rows must be a non-empty list of indices below {n}")
+    row_folds = fold_of[rows]
+    valid_len = n - folds.fold_sizes[row_folds]
+    max_len = int(valid_len.max())
 
-    required = estimate_footprint(n, folds.f)
+    required = rows.size * (max_len * ENTRY_BYTES + ROW_OVERHEAD) + BASE_OVERHEAD
     if required > memory_budget:
         raise MemoryBudgetExceeded(required, memory_budget)
 
-    t0 = time.perf_counter()
-    full = distance_matrix(dataset.features, dataset.features, metric)
-    t_dist = time.perf_counter() - t0
-
-    fold_of = folds.fold_of
-    max_len = n - int(folds.fold_sizes.min())
-    k_max = n - int(folds.fold_sizes.max())
-
-    distances = np.full((n, max_len), np.inf, dtype=np.float64)
-    labels = np.full((n, max_len), -1, dtype=np.int32)
-    sources = np.full((n, max_len), -1, dtype=np.int32)
-    valid_len = np.empty(n, dtype=np.int64)
-
-    t0 = time.perf_counter()
+    features = dataset.features
     all_labels = dataset.labels.astype(np.int32)
-    all_idx = np.arange(n, dtype=np.int32)
-    for i in range(folds.f):
-        rows = np.flatnonzero(fold_of == i)
-        cols = np.flatnonzero(fold_of != i)  # ascending source index
-        # ties by column over ascending source columns == tie-break by source
-        order, sorted_d = sort_rows(full[np.ix_(rows, cols)])
-        m = cols.size
-        distances[rows, :m] = sorted_d
-        labels[rows, :m] = all_labels[cols][order]
-        sources[rows, :m] = all_idx[cols][order]
-        valid_len[rows] = m
-    t_sort = time.perf_counter() - t0
+    lengths = np.unique(valid_len)
+    if lengths.size > 1:
+        distances = np.full((rows.size, max_len), np.inf, dtype=np.float64)
+        sources = np.full((rows.size, max_len), -1, dtype=np.int32)
+    t_dist = t_sort = 0.0
+    for m in lengths:
+        sel = np.flatnonzero(valid_len == m)
+        group, group_folds = rows[sel], row_folds[sel]
+        t0 = time.perf_counter()
+        one_fold = bool((group_folds == group_folds[0]).all())
+        # ascending columns: ties by column == ties by source index
+        cols = np.flatnonzero(fold_of != group_folds[0]) if one_fold else np.arange(n)
+        dist = distance_matrix(features[group], features[cols], metric)
+        t1 = time.perf_counter()
+        order, sorted_d = sort_rows(dist)
+        del dist
+        if one_fold:
+            src = cols.astype(np.int32)[order]
+        else:
+            keep = fold_of[order] != group_folds[:, None]
+            src = order[keep].astype(np.int32).reshape(sel.size, m)
+            sorted_d = sorted_d[keep].reshape(sel.size, m)
+            del keep
+        del order
+        if lengths.size > 1:
+            distances[sel, :m] = sorted_d
+            sources[sel, :m] = src
+        else:
+            distances, sources = sorted_d, src
+        del sorted_d, src
+        t_dist += t1 - t0
+        t_sort += time.perf_counter() - t1
+    labels = all_labels[sources]
+    if lengths.size > 1:
+        labels[sources < 0] = -1
 
     return SortedDistanceMatrix(
         distances=distances, labels=labels, sources=sources,
-        valid_len=valid_len, k_max=k_max, n=n, f=folds.f, metric=metric,
-        build_seconds={"distance": t_dist, "sort": t_sort},
+        valid_len=valid_len, k_max=folds.k_max, n=rows.size, f=folds.f, metric=metric,
+        build_seconds={"distance": t_dist, "sort": t_sort}, rows=rows,
     )
 
 

@@ -4,24 +4,17 @@ Per-row class counters (and a shadow of summed distances for tie-breaking)
 are grown one neighbor at a time; after each depth k the prediction for every
 row is compared against ground truth and tallied per fold. Counters are never
 reset, so the whole 1..k_max range costs one traversal of each row's list.
-fused_sweep builds those lists a block of rows at a time; sweep reads them
-from a stored SortedDistanceMatrix.
+row_blocks cuts the rows into blocks whose lists fit a memory budget, so
+the lists of all rows never have to exist at once.
 """
 
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import (
-    DEFAULT_MEMORY_BUDGET,
-    RESORT_ROWS,
-    check_metric,
-    distance_matrix,
-    sort_rows,
-)
+from .distance import DEFAULT_MEMORY_BUDGET
 from .errors import (
     EmptyNeighborhood,
     InconsistentFolds,
@@ -32,18 +25,21 @@ from .errors import (
 
 TIE_POLICIES = ("smallest_code", "shadow_min")
 
-# Cap on one fused_sweep row block's estimated working set, in bytes. Each
+# Cap on one row block's estimated working set, in bytes. Each
 # block pays a Python-level loop over k, so larger blocks run faster but
 # raise peak memory; past this size the gain is within run-to-run noise.
 BLOCK_BYTES = 96 << 20
 # Upper bounds, per block row, of the bytes a block holds per column while
-# it is sorted and masked and per depth while it votes; the estimate adds
-# both, and tracemalloc peaks stay below it (tests/test_kernel.py).
-SORT_CELL_BYTES = 34
+# it is built (distances, two sort orders and the sorted distances; tied
+# rows add a re-sorted copy) and per depth while it votes (votes, shadow
+# distances, hits and the per-fold sums); the estimate adds both, which also
+# covers the stored lists during the vote, and tracemalloc peaks stay below
+# it (tests/test_kernel.py).
+SORT_CELL_BYTES = 40
 VOTE_CELL_BYTES = 40
-# small allocations outside the arrays fused_sweep sizes
+# small allocations outside the arrays row_blocks sizes
 FIXED_BYTES = 1 << 16
-# rows per block when sweep reads a stored matrix
+# rows sweep votes at once; bounds its temporaries on a matrix of every row
 SWEEP_BLOCK_ROWS = 1024
 
 
@@ -116,58 +112,60 @@ class KSearchReport:
         return json.dumps(payload, indent=indent)
 
 
-def sweep(matrix, folds, truth, policy="smallest_code"):
-    """Fill the accuracy matrix for every k = 1..k_max from a stored matrix.
+def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
+    """Tally hits at every k = 1..k_max over the rows a sorted matrix holds.
 
-    Debug and test path: fused_sweep gives the same result without the
-    matrix. Row r's k-th nearest cross-fold neighbor is its vote at depth k;
+    Row j's k-th nearest cross-fold neighbor is its vote at depth k;
     k_max = n - max fold size guarantees every row has a k-th neighbor.
+    Hits are added per fold into `correct`, a (k_max, f) int64 tally (a new
+    zeroed one by default): sweeping every block of row_blocks into one
+    tally gives the whole accuracy matrix with one block's neighbour lists
+    in memory at a time. Returns a read-only AccuracyMatrix view of the tally.
     """
     check_policy(policy)
-    n = matrix.n
     truth = np.asarray(truth)
-    if folds.n != n or truth.shape[0] != n:
+    rows = matrix.rows
+    if truth.shape[0] != folds.n or rows.max() >= folds.n:
         raise InconsistentInputs(
-            f"sizes disagree: matrix n={n}, folds n={folds.n}, truth n={truth.shape[0]}"
-        )
+            f"sizes disagree: matrix rows up to {rows.max()}, folds n={folds.n}, "
+            f"truth n={truth.shape[0]}")
+    row_folds = folds.fold_of[rows]
+    if np.any(matrix.valid_len != folds.n - folds.fold_sizes[row_folds]):
+        raise InconsistentInputs("matrix row lengths disagree with the folds")
     k_max = matrix.k_max
     if k_max < 1:
         raise InconsistentInputs("k_max < 1: some fold covers all but 0 rows")
+    if correct is None:
+        correct = np.zeros((k_max, folds.f), dtype=np.int64)
+    elif correct.shape != (k_max, folds.f):
+        raise InconsistentInputs(f"tally shape {correct.shape} is not {(k_max, folds.f)}")
 
     labels = matrix.labels[:, :k_max]
     s = int(max(truth.max(), labels.max())) + 1
-    correct = np.zeros((k_max, folds.f), dtype=np.int64)
-    by_fold = np.argsort(folds.fold_of, kind="stable")
-    for lo in range(0, n, SWEEP_BLOCK_ROWS):
-        block = by_fold[lo:lo + SWEEP_BLOCK_ROWS]
+    # _accumulate wants each fold's rows together; slices, where the rows
+    # already are, save a copy of every vote
+    by_fold = (None if np.all(row_folds[1:] >= row_folds[:-1])
+               else np.argsort(row_folds, kind="stable"))
+    for lo in range(0, matrix.n, SWEEP_BLOCK_ROWS):
+        block = (slice(lo, lo + SWEEP_BLOCK_ROWS) if by_fold is None
+                 else by_fold[lo:lo + SWEEP_BLOCK_ROWS])
         votes = np.ascontiguousarray(labels[block].T, dtype=np.int64)
         dists = matrix.distances[block, :k_max].T.copy() if policy == "shadow_min" else None
-        _accumulate(correct, votes, dists, truth[block], folds.fold_of[block], s, policy)
-    return AccuracyMatrix(correct=correct, fold_sizes=folds.fold_sizes.copy(),
+        _accumulate(correct, votes, dists, truth[rows[block]], row_folds[block], s, policy)
+        del votes, dists
+    return AccuracyMatrix(correct=correct.view(), fold_sizes=folds.fold_sizes.copy(),
                           k_max=k_max, f=folds.f)
 
 
-def fused_sweep(dataset, folds, metric="euclidean", policy="smallest_code",
-                memory_budget=DEFAULT_MEMORY_BUDGET):
-    """Accuracy for every k = 1..k_max, one block of rows at a time.
+def row_blocks(dataset, folds, memory_budget=DEFAULT_MEMORY_BUDGET):
+    """Iterator of row index blocks for a blocked sweep, each sized to fit memory_budget.
 
-    Per block: distances to the block's training columns, sort_rows, then
-    the incremental vote and per-fold tally of _accumulate. Rows run in
-    (fold size, fold, index) order and a block holds rows of one fold size.
-    A block inside one fold takes distances against that fold's complement
-    only; a block that spans folds takes all n columns and then drops each
-    row's own-fold entries, the same number for every row. Either way each
-    row sees its cross-fold neighbours in the order of build_sorted_matrix,
-    so the result equals sweep(build_sorted_matrix(...)) exactly.
-
-    Memory is bounded by the (k_max, f) accuracy matrix, a copy of the
-    features and one block, whose size is capped at BLOCK_BYTES and further
-    by memory_budget. Returns (AccuracyMatrix, seconds), seconds holding
-    "distance", "sort", "sweep" (vote and tally) and "total" (the whole call).
+    The budget bounds an estimate of the (k_max, f) tally, copies of the
+    features and one block's build and sweep (see _row_bytes); a block is
+    further capped at BLOCK_BYTES. Blocks follow _row_blocks, so each one
+    holds rows of one fold size. Raises MemoryBudgetExceeded only when one
+    row does not fit.
     """
-    t_start = time.perf_counter()
-    check_metric(metric)
-    check_policy(policy)
     n, d, s = dataset.n, dataset.d, dataset.s
     if folds.n != n:
         raise InconsistentFolds(f"folds cover {folds.n} rows, dataset has {n}")
@@ -175,62 +173,18 @@ def fused_sweep(dataset, folds, metric="euclidean", policy="smallest_code",
     if k_max < 1:
         raise InconsistentInputs("k_max < 1: some fold covers all but 0 rows")
 
-    fixed = (8 * k_max * folds.f + 16 * n * d + 64 * n
-             + 24 * RESORT_ROWS * n + FIXED_BYTES)
+    fixed = 8 * k_max * folds.f + 16 * n * d + 64 * n + FIXED_BYTES
     required = fixed + _row_bytes(n - int(folds.fold_sizes.min()), k_max, d, s)
     if required > memory_budget:
         raise MemoryBudgetExceeded(required, memory_budget)
     cap = min(BLOCK_BYTES, memory_budget - fixed)
-
-    def rows_per_block(m):  # the budget check above lets one row always fit
-        return max(1, cap // _row_bytes(m, k_max, d, s))
-
-    features, fold_of = dataset.features, folds.fold_of
-    labels = np.asarray(dataset.labels, dtype=np.int64)
-    correct = np.zeros((k_max, folds.f), dtype=np.int64)
-    seconds = {"distance": 0.0, "sort": 0.0, "sweep": 0.0}
-    train_fold = train_x = train_labels = None
-    for block in _row_blocks(folds, rows_per_block):
-        t0 = time.perf_counter()
-        block_folds = fold_of[block]
-        single = block_folds[0] == block_folds[-1]  # a fold's rows are contiguous
-        if single and block_folds[0] != train_fold:
-            train_fold, train_x = block_folds[0], None  # free the last fold's copy first
-            train_cols = np.flatnonzero(fold_of != train_fold)
-            train_x, train_labels = features[train_cols], labels[train_cols]
-        dist = distance_matrix(features[block], train_x if single else features, metric)
-        t1 = time.perf_counter()
-
-        # each array is dropped as soon as it is used, which keeps the
-        # block within _row_bytes
-        order, sorted_d = sort_rows(dist)
-        del dist
-        if not single:
-            keep = fold_of[order] != block_folds[:, None]
-            order = order[keep].reshape(block.size, -1)
-            sorted_d = sorted_d[keep].reshape(block.size, -1)
-            del keep
-        votes = (train_labels if single else labels)[np.ascontiguousarray(order[:, :k_max].T)]
-        del order
-        dists = sorted_d[:, :k_max].T.copy() if policy == "shadow_min" else None
-        del sorted_d
-        t2 = time.perf_counter()
-
-        _accumulate(correct, votes, dists, labels[block], block_folds, s, policy)
-        del votes, dists
-        t3 = time.perf_counter()
-        seconds["distance"] += t1 - t0
-        seconds["sort"] += t2 - t1
-        seconds["sweep"] += t3 - t2
-
-    acc = AccuracyMatrix(correct=correct, fold_sizes=folds.fold_sizes.copy(),
-                         k_max=k_max, f=folds.f)
-    seconds["total"] = time.perf_counter() - t_start
-    return acc, seconds
+    # the check above lets one row always fit; blocks are made as they are
+    # used, as a list of n one-row blocks would outgrow the budget
+    return _row_blocks(folds, lambda m: max(1, cap // _row_bytes(m, k_max, d, s)))
 
 
 def _row_bytes(m, k_max, d, s):
-    """Upper bound of fused_sweep's bytes per block row with m columns."""
+    """Upper bound of a block's build and sweep bytes per row with m columns."""
     return SORT_CELL_BYTES * m + VOTE_CELL_BYTES * k_max + 8 * d + 32 * s + 128
 
 
@@ -252,8 +206,12 @@ def _row_blocks(folds, rows_per_block):
                 yield group[lo:lo + span]
         else:
             pieces = -(-fs // rows_per_block(folds.n - fs))
-            for fold_rows in np.split(group, range(fs, group.size, fs)):
-                yield from np.array_split(fold_rows, pieces)
+            size, extra = divmod(fs, pieces)  # the first `extra` pieces get a row more
+            for start in range(0, group.size, fs):
+                for piece in range(pieces):
+                    stop = start + size + (piece < extra)
+                    yield group[start:stop]
+                    start = stop
 
 
 def _accumulate(correct, votes, dists, truth, block_folds, s, policy):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from knnsweep import cli
 from knnsweep.cli import main
 
 TOY_CSV = "x,label\n0,A\n1,A\n2,B\n10,B\n"
@@ -88,6 +89,21 @@ class TestOptimize:
         assert strip_timing(outs[0]) == strip_timing(outs[1])
         timing = json.loads(outs[1].read_text())["timing"]
         assert list(timing) == ["distance", "sort", "sweep", "total"]
+
+    def test_stages_called_through_cli_names(self, tmp_path, monkeypatch):
+        # perfbench/child.py wraps these knnsweep.cli attributes in spans
+        calls = []
+        for name in ("build_sorted_matrix", "sweep"):
+            real = getattr(cli, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        out = tmp_path / "r.json"
+        assert run(["optimize", "--synthetic", "60,3,3,0.8", "--folds", "5",
+                    "--seed", "4", "--memory-budget", "150000", "--output", str(out)]) == 0
+        assert len(calls) > 2 and calls == ["build_sorted_matrix", "sweep"] * (len(calls) // 2)
 
     def test_determinism_excluding_timing(self, tmp_path):
         outs = []

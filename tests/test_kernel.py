@@ -1,4 +1,4 @@
-"""fused_sweep against the stored-matrix sweep and the brute-force oracle.
+"""The blocked sweep against the whole-matrix sweep and the brute-force oracle.
 
 The cases aim where a blocked kernel can go wrong: tied distances (integer
 features), every metric and tie policy, leave-one-out and skewed folds, many
@@ -15,19 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knnsweep.cli import blocked_sweep
 from knnsweep.dataset import Dataset, FoldAssignment, generate_synthetic, stratified_folds
-from knnsweep.distance import METRICS, RESORT_ROWS, build_sorted_matrix, sort_rows
-from knnsweep.errors import InconsistentFolds, MemoryBudgetExceeded
+from knnsweep.distance import METRICS, build_sorted_matrix, sort_rows
+from knnsweep.errors import InconsistentFolds, InconsistentInputs, MemoryBudgetExceeded
 from knnsweep.oracle import FoldDistanceCache, cross_validate
-from knnsweep.sweep import TIE_POLICIES, _row_blocks, _row_bytes, fused_sweep, sweep
+from knnsweep.sweep import TIE_POLICIES, _row_blocks, _row_bytes, row_blocks, sweep
 
 sweep_module = importlib.import_module("knnsweep.sweep")
 
 
 def min_budget(ds, fa, metric="euclidean", policy="smallest_code"):
-    """The smallest memory budget fused_sweep accepts: one row per block."""
+    """The smallest memory budget blocked_sweep accepts: one row per block."""
     with pytest.raises(MemoryBudgetExceeded) as exc:
-        fused_sweep(ds, fa, metric, policy, memory_budget=1)
+        blocked_sweep(ds, fa, metric, policy, memory_budget=1)
     return exc.value.required
 
 
@@ -66,7 +67,7 @@ def test_equals_stored_sweep_and_oracle(n, d, s, integer, fold_kind, f, metric, 
     cap = (sweep_module.BLOCK_BYTES if block_rows is None
            else block_rows * _row_bytes(n, fa.k_max, d, s))
     with mock.patch.object(sweep_module, "BLOCK_BYTES", cap):
-        acc, _ = fused_sweep(ds, fa, metric, policy, memory_budget=budget)
+        acc, _ = blocked_sweep(ds, fa, metric, policy, memory_budget=budget)
 
     stored = sweep(build_sorted_matrix(ds, fa, metric), fa, ds.labels, policy)
     np.testing.assert_array_equal(acc.correct, stored.correct)
@@ -108,7 +109,7 @@ def test_traced_peak_within_budget(n, d, s, f, metric, policy, scale):
     budget = min_budget(ds, fa, metric, policy) * scale
     tracemalloc.start()
     try:
-        acc, seconds = fused_sweep(ds, fa, metric, policy, memory_budget=budget)
+        acc, seconds = blocked_sweep(ds, fa, metric, policy, memory_budget=budget)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -121,21 +122,21 @@ def test_budget_refused_only_below_one_row(toy):
     ds, fa = toy
     required = min_budget(ds, fa)
     with pytest.raises(MemoryBudgetExceeded):
-        fused_sweep(ds, fa, memory_budget=required - 1)
-    acc, _ = fused_sweep(ds, fa, memory_budget=required)
+        blocked_sweep(ds, fa, memory_budget=required - 1)
+    acc, _ = blocked_sweep(ds, fa, memory_budget=required)
     assert acc.correct.tolist() == [[1, 2], [1, 1]]
 
 
 def test_block_cap_below_one_row_still_runs(toy):
     ds, fa = toy
     with mock.patch.object(sweep_module, "BLOCK_BYTES", 1):
-        acc, _ = fused_sweep(ds, fa)
+        acc, _ = blocked_sweep(ds, fa)
     assert acc.correct.tolist() == [[1, 2], [1, 1]]
 
 
 def test_seconds_cover_the_call(toy):
     ds, fa = toy
-    _, seconds = fused_sweep(ds, fa)
+    _, seconds = blocked_sweep(ds, fa)
     assert list(seconds) == ["distance", "sort", "sweep", "total"]
     phases = seconds["distance"] + seconds["sort"] + seconds["sweep"]
     assert 0 <= phases <= seconds["total"]
@@ -144,11 +145,11 @@ def test_seconds_cover_the_call(toy):
 def test_inconsistent_folds(toy):
     ds, _ = toy
     with pytest.raises(InconsistentFolds):
-        fused_sweep(ds, FoldAssignment(fold_of=np.array([0, 1, 0]), f=2))
+        blocked_sweep(ds, FoldAssignment(fold_of=np.array([0, 1, 0]), f=2))
 
 
 @settings(max_examples=50, deadline=None)
-@given(rows=st.integers(1, 2 * RESORT_ROWS + 3), cols=st.integers(1, 30),
+@given(rows=st.integers(1, 40), cols=st.integers(1, 30),
        levels=st.integers(1, 4), with_inf=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_sort_rows_equals_stable_argsort(rows, cols, levels, with_inf, seed):
     d = np.random.default_rng(seed).integers(0, levels, size=(rows, cols)).astype(np.float64)
@@ -158,3 +159,43 @@ def test_sort_rows_equals_stable_argsort(rows, cols, levels, with_inf, seed):
     expected = np.argsort(d, axis=1, kind="stable")
     np.testing.assert_array_equal(order, expected)
     np.testing.assert_array_equal(sorted_d, np.take_along_axis(d, expected, axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 30), f=st.integers(2, 9), integer=st.booleans(),
+       metric=st.sampled_from(METRICS), data=st.data())
+def test_block_rows_equal_whole_matrix_rows(n, f, integer, metric, data):
+    # unequal fold sizes give blocks of several row lengths, which are padded
+    ds, fa = make_instance(n, 2, 2, integer, "stratified", f, seed=n * f)
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    whole = build_sorted_matrix(ds, fa, metric)
+    block = build_sorted_matrix(ds, fa, metric, rows=rows)
+    assert block.n == len(rows) and block.rows.tolist() == rows
+    for j, r in enumerate(rows):
+        for got, want in zip(block.row(j), whole.row(r)):
+            np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(block.valid_len, whole.valid_len[rows])
+    assert (block.labels[block.sources < 0] == -1).all()
+
+
+def test_block_tallies_add_up(toy):
+    ds, fa = toy
+    correct = np.zeros((fa.k_max, fa.f), dtype=np.int64)
+    for rows in ([3, 0], [1], [2]):
+        acc = sweep(build_sorted_matrix(ds, fa, rows=rows), fa, ds.labels, correct=correct)
+    assert acc.correct.tolist() == [[1, 2], [1, 1]]
+    assert not acc.correct.flags.writeable and correct.flags.writeable
+
+
+def test_block_inputs_checked(toy):
+    ds, fa = toy
+    for rows in ([], [4], [-1], [[0, 1]]):
+        with pytest.raises(InconsistentInputs):
+            build_sorted_matrix(ds, fa, rows=rows)
+    block = build_sorted_matrix(ds, fa, rows=[0, 1])
+    with pytest.raises(InconsistentInputs):
+        sweep(block, fa, ds.labels, correct=np.zeros((fa.k_max + 1, fa.f), dtype=np.int64))
+    other = FoldAssignment(fold_of=np.array([0, 0, 0, 1]), f=2)  # other row lengths
+    with pytest.raises(InconsistentInputs):
+        sweep(block, other, ds.labels)
+    assert sum(b.size for b in row_blocks(ds, fa)) == ds.n
