@@ -211,8 +211,6 @@ def build_parser():
                        help="bound on the sweep's working memory in bytes; row blocks "
                             "shrink to fit, and the run is refused only when one "
                             "row does not fit")
-        p.add_argument("--threads", type=int, default=1,
-                       help="cap on internal parallelism (results are invariant)")
         p.add_argument("--repeat", type=int, default=1,
                        help="repeat timed phases N times, report the minimum")
 

@@ -28,8 +28,9 @@ class Dataset:
     """Numeric feature matrix with integer-encoded labels.
 
     features: (n, d) float64, labels: (n,) int codes in 0..s-1 encoded by
-    first appearance, class_names: original label strings per code. Labels
-    that are not n integers in 0..s-1 raise InconsistentInputs.
+    first appearance, class_names: original label strings per code. Features
+    that are not 2-D, or labels that are not n integers in 0..s-1, raise
+    InconsistentInputs.
     """
 
     features: np.ndarray
@@ -46,6 +47,8 @@ class Dataset:
         return self.features.shape[1]
 
     def __post_init__(self):
+        if self.features.ndim != 2:
+            raise InconsistentInputs(f"features must be 2-D, got shape {self.features.shape}")
         if self.n < 2:
             raise EmptyDataset(f"need at least 2 rows, got {self.n}")
         if self.d < 1:
@@ -208,10 +211,9 @@ def generate_synthetic(n, d, s, spread, seed):
     class center plus isotropic N(0, spread^2) noise. Class sizes differ by
     at most one. Deterministic given seed (PCG64).
     """
-    if s < 2 or n < s or d < 1 or not (spread > 0):
-        raise BadParams(
-            f"need n >= s >= 2, d >= 1, spread > 0; got n={n}, d={d}, s={s}, spread={spread}"
-        )
+    if s < 2 or n < s or d < 1 or not (0 < spread < math.inf):
+        raise BadParams(f"need n >= s >= 2, d >= 1, 0 < spread < inf; "
+                        f"got n={n}, d={d}, s={s}, spread={spread}")
 
     # class c -> lattice point: digits of c in base ceil(s**(1/d))
     base = max(2, math.ceil(s ** (1.0 / d)))

@@ -7,7 +7,6 @@ padded to the longest valid length; padding cells carry +inf distance and
 -1 label/source.
 """
 
-import struct
 import time
 from dataclasses import dataclass
 
@@ -24,10 +23,13 @@ from .errors import (
 METRICS = ("euclidean", "manhattan", "chebyshev")
 
 _CDIST_NAME = {"euclidean": "euclidean", "manhattan": "cityblock", "chebyshev": "chebyshev"}
-_METRIC_CODE = {"euclidean": 0, "manhattan": 1, "chebyshev": 2}
 
 # per stored entry: float64 distance + int32 label + int32 source index
 ENTRY_BYTES = 16
+# Upper bound, per row, of the bytes a build holds per distance column
+# (distances, two sort orders and the sorted distances; tied rows add a
+# re-sorted copy)
+SORT_CELL_BYTES = 40
 ROW_OVERHEAD = 16
 BASE_OVERHEAD = 256
 
@@ -109,7 +111,6 @@ class SortedDistanceMatrix:
     k_max: int
     n: int
     f: int
-    metric: str
     build_seconds: dict
     rows: np.ndarray = None
 
@@ -135,7 +136,9 @@ def build_sorted_matrix(dataset, folds, metric="euclidean",
     fold against that fold's complement; rows of several folds against all
     n columns, after which each row drops its own fold's entries (a filter
     keeps the sorted order, and every row drops the same number). Records
-    wall-clock of the distance and sort phases in build_seconds.
+    wall-clock of the distance and sort phases in build_seconds. Raises
+    MemoryBudgetExceeded when the distance cells, at SORT_CELL_BYTES each,
+    exceed memory_budget.
     """
     check_metric(metric)
     n = dataset.n
@@ -152,7 +155,9 @@ def build_sorted_matrix(dataset, folds, metric="euclidean",
     valid_len = n - folds.fold_sizes[row_folds]
     max_len = int(valid_len.max())
 
-    required = rows.size * (max_len * ENTRY_BYTES + ROW_OVERHEAD) + BASE_OVERHEAD
+    # rows of several folds take distances to all n columns
+    width = n if np.any(row_folds != row_folds[0]) else max_len
+    required = rows.size * (width * SORT_CELL_BYTES + ROW_OVERHEAD) + BASE_OVERHEAD
     if required > memory_budget:
         raise MemoryBudgetExceeded(required, memory_budget)
 
@@ -196,44 +201,6 @@ def build_sorted_matrix(dataset, folds, metric="euclidean",
 
     return SortedDistanceMatrix(
         distances=distances, labels=labels, sources=sources,
-        valid_len=valid_len, k_max=folds.k_max, n=rows.size, f=folds.f, metric=metric,
+        valid_len=valid_len, k_max=folds.k_max, n=rows.size, f=folds.f,
         build_seconds={"distance": t_dist, "sort": t_sort}, rows=rows,
     )
-
-
-def dump_matrix(matrix, path):
-    """Binary debug dump, little-endian.
-
-    Layout: magic b'SDMX', u32 version=1, u64 n, u64 f, u64 k_max,
-    u8 metric code; then per row: u64 valid_len followed by valid_len
-    entries of (f64 distance, i32 label, i32 source).
-    """
-    with open(path, "wb") as fh:
-        fh.write(b"SDMX")
-        fh.write(struct.pack("<IQQQB", 1, matrix.n, matrix.f,
-                             matrix.k_max, _METRIC_CODE[matrix.metric]))
-        for r in range(matrix.n):
-            d, lab, src = matrix.row(r)
-            fh.write(struct.pack("<Q", d.size))
-            fh.write(np.rec.fromarrays(
-                [d, lab.astype("<i4"), src.astype("<i4")],
-                dtype=[("d", "<f8"), ("l", "<i4"), ("s", "<i4")]).tobytes())
-
-
-def load_matrix_dump(path):
-    """Read back a dump_matrix file; returns a dict of raw fields."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != b"SDMX":
-            raise ValueError(f"bad magic {magic!r}")
-        version, n, f, k_max, mcode = struct.unpack("<IQQQB", fh.read(29))
-        if version != 1:
-            raise ValueError(f"unsupported version {version}")
-        metric = {v: k for k, v in _METRIC_CODE.items()}[mcode]
-        rows = []
-        for _ in range(n):
-            (m,) = struct.unpack("<Q", fh.read(8))
-            rec = np.frombuffer(fh.read(m * ENTRY_BYTES),
-                                dtype=[("d", "<f8"), ("l", "<i4"), ("s", "<i4")])
-            rows.append((rec["d"].copy(), rec["l"].copy(), rec["s"].copy()))
-    return {"n": n, "f": f, "k_max": k_max, "metric": metric, "rows": rows}

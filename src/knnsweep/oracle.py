@@ -14,7 +14,7 @@ import numpy as np
 
 from .distance import check_metric, distance_matrix
 from .errors import DimensionMismatch, KTooLarge
-from .sweep import KSearchReport, AccuracyMatrix, check_policy, classify_at_k, select_k, vote_batch
+from .sweep import KSearchReport, AccuracyMatrix, check_policy, classify_at_k, select_k
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def _correct_count(labels_sorted, dists_sorted, truth, k, s, policy):
     # column-ascending accumulation matches the sweep's addition order
     np.add.at(counts, (idx, labels_sorted[:, :k]), 1)
     np.add.at(shadow, (idx, labels_sorted[:, :k]), dists_sorted[:, :k])
-    pred = vote_batch(counts, shadow, policy)
+    pred = classify_at_k(counts, shadow, policy)
     return int(np.count_nonzero(pred == truth))
 
 

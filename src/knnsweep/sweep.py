@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import DEFAULT_MEMORY_BUDGET
+from .distance import DEFAULT_MEMORY_BUDGET, SORT_CELL_BYTES
 from .errors import (
     EmptyNeighborhood,
     InconsistentFolds,
@@ -29,13 +29,11 @@ TIE_POLICIES = ("smallest_code", "shadow_min")
 # block pays a Python-level loop over k, so larger blocks run faster but
 # raise peak memory; past this size the gain is within run-to-run noise.
 BLOCK_BYTES = 96 << 20
-# Upper bounds, per block row, of the bytes a block holds per column while
-# it is built (distances, two sort orders and the sorted distances; tied
-# rows add a re-sorted copy) and per depth while it votes (votes, shadow
-# distances, hits and the per-fold sums); the estimate adds both, which also
-# covers the stored lists during the vote, and tracemalloc peaks stay below
-# it (tests/test_kernel.py).
-SORT_CELL_BYTES = 40
+# Upper bound, per block row, of the bytes a block holds per depth while it
+# votes (votes, shadow distances, hits and the per-fold sums). The estimate
+# adds it to the build's SORT_CELL_BYTES per column, which also covers the
+# stored lists during the vote, and tracemalloc peaks stay below it
+# (tests/test_kernel.py).
 VOTE_CELL_BYTES = 40
 # small allocations outside the arrays row_blocks sizes
 FIXED_BYTES = 1 << 16
@@ -49,31 +47,25 @@ def check_policy(policy):
     return policy
 
 
-def classify_at_k(counts_row, shadow_row, policy="smallest_code"):
-    """Predicted class from one row of the counting and shadow matrices.
+def classify_at_k(counts, shadow, policy="smallest_code"):
+    """Predicted class from counting and shadow rows of shape (..., s).
 
     Argmax of counts; ties go to the smallest class code, or under
     shadow_min to the tied class with the smallest summed distance
-    (further ties again to the smallest code).
+    (further ties again to the smallest code). Returns an int for one row,
+    else an array of shape (...); an all-zero counts row raises
+    EmptyNeighborhood.
     """
     check_policy(policy)
-    counts_row = np.asarray(counts_row)
-    if not counts_row.any():
+    counts = np.asarray(counts)
+    if not counts.any(axis=-1).all():
         raise EmptyNeighborhood("all-zero counts row")
     if policy == "smallest_code":
-        return int(np.argmax(counts_row))
-    tied = counts_row == counts_row.max()
-    masked = np.where(tied, np.asarray(shadow_row, dtype=np.float64), np.inf)
-    return int(np.argmin(masked))
-
-
-def vote_batch(counts, shadow, policy):
-    """Vectorized classify_at_k over a (rows, s) counts/shadow block."""
-    if policy == "smallest_code":
-        return np.argmax(counts, axis=1)
-    tied = counts == counts.max(axis=1, keepdims=True)
-    masked = np.where(tied, shadow, np.inf)
-    return np.argmin(masked, axis=1)
+        pred = np.argmax(counts, axis=-1)
+    else:
+        tied = counts == counts.max(axis=-1, keepdims=True)
+        pred = np.argmin(np.where(tied, np.asarray(shadow, dtype=np.float64), np.inf), axis=-1)
+    return int(pred) if pred.ndim == 0 else pred
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import pytest
 
 from knnsweep import cli
 from knnsweep.cli import main
+from knnsweep.distance import estimate_footprint
 
 TOY_CSV = "x,label\n0,A\n1,A\n2,B\n10,B\n"
 
@@ -66,6 +67,10 @@ class TestOptimize:
                     "--memory-budget", "8"])
         assert code == 11  # MemoryBudgetExceeded
 
+    def test_infinite_synthetic_spread_exit_code(self, capsys):
+        assert run(["optimize", "--synthetic", "20,2,2,inf", "--folds", "2"]) == 9  # BadParams
+        assert "spread" in capsys.readouterr().err
+
     def test_missing_input_spec(self):
         assert run(["optimize", "--folds", "2"]) == 2
 
@@ -91,19 +96,29 @@ class TestOptimize:
         assert list(timing) == ["distance", "sort", "sweep", "total"]
 
     def test_stages_called_through_cli_names(self, tmp_path, monkeypatch):
-        # perfbench/child.py wraps these knnsweep.cli attributes in spans
-        calls = []
+        # perfbench/child.py wraps these knnsweep.cli attributes in spans and
+        # reads the attributes below from their results and estimate_footprint
+        for name in ("load_csv", "stratified_folds", "select_k"):
+            assert callable(getattr(cli, name))
+        assert callable(estimate_footprint)
+        calls, results = [], []
         for name in ("build_sorted_matrix", "sweep"):
             real = getattr(cli, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
                 calls.append(_name)
-                return _real(*args, **kwargs)
+                results.append(_real(*args, **kwargs))
+                return results[-1]
             monkeypatch.setattr(cli, name, counted)
         out = tmp_path / "r.json"
         assert run(["optimize", "--synthetic", "60,3,3,0.8", "--folds", "5",
                     "--seed", "4", "--memory-budget", "150000", "--output", str(out)]) == 0
         assert len(calls) > 2 and calls == ["build_sorted_matrix", "sweep"] * (len(calls) // 2)
+        for block, acc in zip(results[::2], results[1::2]):
+            for attr in ("distances", "labels", "sources", "valid_len", "build_seconds",
+                         "n", "f"):
+                assert hasattr(block, attr), attr
+            assert acc.k_max == block.k_max
 
     def test_determinism_excluding_timing(self, tmp_path):
         outs = []

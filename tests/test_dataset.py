@@ -106,6 +106,14 @@ class TestDatasetLabels:
                     class_names=["a", "b"])
 
 
+class TestDatasetFeatures:
+    @pytest.mark.parametrize("shape", [(3,), (3, 2, 1)])
+    def test_features_not_2d_rejected(self, shape):
+        with pytest.raises(InconsistentInputs):
+            Dataset(features=np.zeros(shape), labels=np.array([0, 1, 1]), s=2,
+                    class_names=["a", "b"])
+
+
 class TestFoldAssignment:
     def test_fold_index_at_least_f_rejected(self):
         with pytest.raises(InconsistentFolds):
@@ -195,6 +203,9 @@ class TestGenerateSynthetic:
             generate_synthetic(10, 1, 2, 0.0, seed=0)
         with pytest.raises(BadParams):
             generate_synthetic(10, 0, 2, 0.5, seed=0)
+        for spread in (float("inf"), float("nan")):
+            with pytest.raises(BadParams):
+                generate_synthetic(10, 1, 2, spread, seed=0)
 
     def test_deterministic(self):
         a = generate_synthetic(30, 2, 3, 0.3, seed=42)

@@ -6,10 +6,9 @@ import pytest
 from knnsweep.dataset import Dataset, FoldAssignment, generate_synthetic, stratified_folds
 from knnsweep.distance import (
     ENTRY_BYTES,
+    SORT_CELL_BYTES,
     build_sorted_matrix,
-    dump_matrix,
     estimate_footprint,
-    load_matrix_dump,
     pairwise_distance,
 )
 from knnsweep.errors import DimensionMismatch, InconsistentFolds, MemoryBudgetExceeded
@@ -112,6 +111,17 @@ class TestBuildSortedMatrix:
             build_sorted_matrix(ds, fa, memory_budget=10)
         assert exc.value.required > exc.value.budget == 10
 
+    def test_memory_budget_counts_sort_temporaries(self, toy):
+        # 4 rows of 2 stored entries fit in 4 * (2 * ENTRY_BYTES + 16) + 256
+        # bytes, but each row's sort holds SORT_CELL_BYTES for each of its 4
+        # distance columns (the rows span both folds)
+        ds, fa = toy
+        stored = 4 * (2 * ENTRY_BYTES + 16) + 256
+        with pytest.raises(MemoryBudgetExceeded) as exc:
+            build_sorted_matrix(ds, fa, memory_budget=stored)
+        assert exc.value.required == 4 * (4 * SORT_CELL_BYTES + 16) + 256
+        build_sorted_matrix(ds, fa, memory_budget=exc.value.required)
+
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
     def test_brute_force_equivalence(self, metric):
         rng = np.random.default_rng(101)
@@ -165,19 +175,3 @@ class TestEstimateFootprint:
     def test_monotone_in_n(self):
         values = [estimate_footprint(n, 5) for n in range(5, 200, 7)]
         assert all(a < b for a, b in zip(values, values[1:]))
-
-
-class TestBinaryDump:
-    def test_round_trip(self, toy, tmp_path):
-        ds, fa = toy
-        m = build_sorted_matrix(ds, fa)
-        path = tmp_path / "matrix.bin"
-        dump_matrix(m, path)
-        back = load_matrix_dump(path)
-        assert back["n"] == 4 and back["f"] == 2 and back["k_max"] == 2
-        assert back["metric"] == "euclidean"
-        for r in range(4):
-            d, lab, src = m.row(r)
-            np.testing.assert_array_equal(back["rows"][r][0], d)
-            np.testing.assert_array_equal(back["rows"][r][1], lab)
-            np.testing.assert_array_equal(back["rows"][r][2], src)

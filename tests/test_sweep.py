@@ -25,8 +25,7 @@ def make_matrix(distances, labels, sources, f, fold_sizes_max):
     return SortedDistanceMatrix(
         distances=distances, labels=labels, sources=sources,
         valid_len=np.full(n, distances.shape[1]),
-        k_max=n - fold_sizes_max, n=n, f=f, metric="euclidean",
-        build_seconds={})
+        k_max=n - fold_sizes_max, n=n, f=f, build_seconds={})
 
 
 class TestClassifyAtK:
@@ -50,6 +49,18 @@ class TestClassifyAtK:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             classify_at_k([1, 0], [0.0, 0.0], "coin_flip")
+
+    def test_rows_at_once(self):
+        counts = np.array([[[2, 1], [1, 1]], [[1, 1], [0, 3]]])
+        shadow = np.array([[[0.0, 0.0], [10.0, 1.0]], [[1.0, 1.0], [0.0, 2.0]]])
+        for policy in ("smallest_code", "shadow_min"):
+            pred = classify_at_k(counts, shadow, policy)
+            assert pred.shape == (2, 2)
+            for i in np.ndindex(2, 2):
+                assert pred[i] == classify_at_k(counts[i], shadow[i], policy)
+        counts[1, 0] = 0
+        with pytest.raises(EmptyNeighborhood):
+            classify_at_k(counts, shadow)
 
 
 class TestSweep:
