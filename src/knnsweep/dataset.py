@@ -183,8 +183,8 @@ def stratified_folds(dataset, f, seed):
     """Deterministic stratified fold assignment.
 
     Rows of each class (code ascending) are shuffled with PCG64(seed) and
-    dealt round-robin onto folds; the round-robin pointer carries over
-    between classes so all folds are non-empty whenever f <= n.
+    dealt round-robin onto folds in one deal over all classes, so all folds
+    are non-empty whenever f <= n.
     """
     n = dataset.n
     if f < 2:
@@ -193,14 +193,10 @@ def stratified_folds(dataset, f, seed):
         raise TooManyFolds(f"fold count {f} exceeds dataset size {n}")
 
     rng = np.random.Generator(np.random.PCG64(seed))
+    dealt = np.concatenate([rng.permutation(np.flatnonzero(dataset.labels == c))
+                            for c in range(dataset.s)])
     fold_of = np.empty(n, dtype=np.int64)
-    pointer = 0
-    for c in range(dataset.s):
-        members = np.flatnonzero(dataset.labels == c)
-        members = members[rng.permutation(len(members))]
-        for idx in members:
-            fold_of[idx] = pointer
-            pointer = (pointer + 1) % f
+    fold_of[dealt] = np.arange(n) % f
     return FoldAssignment(fold_of=fold_of, f=f)
 
 

@@ -1,10 +1,10 @@
 """Fold-masked pairwise distances and row-sorted neighbor lists.
 
 The sorted matrix keeps, per row, only the cross-fold neighbors (the row's
-own fold is never a training set, so those cells would only ever hold an
-infinity sentinel). It holds every row or one block of rows. Rows are stored
-padded to the longest valid length; padding cells carry +inf distance and
--1 label/source.
+own fold is never a training set). It holds every row or one block of rows,
+built with one distance pass and one sort pass over all of them. When the
+rows' valid lengths differ, rows are left-aligned and padded to the longest;
+padding cells carry +inf distance and -1 label/source.
 """
 
 import time
@@ -30,6 +30,8 @@ ENTRY_BYTES = 16
 # (distances, two sort orders and the sorted distances; tied rows add a
 # re-sorted copy)
 SORT_CELL_BYTES = 40
+# small allocations outside the arrays a budget sizes (a build traces 6-11 KiB)
+FIXED_BYTES = 1 << 16
 ROW_OVERHEAD = 16
 BASE_OVERHEAD = 256
 
@@ -132,13 +134,15 @@ def build_sorted_matrix(dataset, folds, metric="euclidean",
 
     Same-fold pairs and the diagonal are dropped entirely. Ties on distance
     are broken by source index ascending, which makes every row fully
-    deterministic. Rows of one fold size are built together: rows of one
-    fold against that fold's complement; rows of several folds against all
-    n columns, after which each row drops its own fold's entries (a filter
-    keeps the sorted order, and every row drops the same number). Records
-    wall-clock of the distance and sort phases in build_seconds. Raises
-    MemoryBudgetExceeded when the distance cells, at SORT_CELL_BYTES each,
-    exceed memory_budget.
+    deterministic. One distance_matrix and one sort_rows call serve all the
+    rows: rows of one fold take distances to that fold's complement; rows of
+    several folds take all n columns, and after the sort each row drops its
+    own fold's entries (a filter keeps the sorted order). Only when the
+    rows' lengths differ are the kept entries left-aligned into padded
+    arrays. Records wall-clock of the distance and sort phases in
+    build_seconds. Raises MemoryBudgetExceeded when the working memory
+    (SORT_CELL_BYTES per distance cell, the gathered feature rows and
+    columns, FIXED_BYTES) exceeds memory_budget.
     """
     check_metric(metric)
     n = dataset.n
@@ -153,54 +157,44 @@ def build_sorted_matrix(dataset, folds, metric="euclidean",
             raise InconsistentInputs(f"rows must be a non-empty list of indices below {n}")
     row_folds = fold_of[rows]
     valid_len = n - folds.fold_sizes[row_folds]
-    max_len = int(valid_len.max())
+    shape = (rows.size, int(valid_len.max()))
+    padded = valid_len.min() < shape[1]
 
-    # rows of several folds take distances to all n columns
-    width = n if np.any(row_folds != row_folds[0]) else max_len
-    required = rows.size * (width * SORT_CELL_BYTES + ROW_OVERHEAD) + BASE_OVERHEAD
+    one_fold = bool((row_folds == row_folds[0]).all())
+    # ascending columns: ties by column == ties by source index
+    cols = np.flatnonzero(fold_of != row_folds[0]) if one_fold else np.arange(n)
+    required = (rows.size * (cols.size * SORT_CELL_BYTES + ROW_OVERHEAD)
+                + 8 * dataset.d * (rows.size + cols.size) + FIXED_BYTES)
     if required > memory_budget:
         raise MemoryBudgetExceeded(required, memory_budget)
 
-    features = dataset.features
-    all_labels = dataset.labels.astype(np.int32)
-    lengths = np.unique(valid_len)
-    if lengths.size > 1:
-        distances = np.full((rows.size, max_len), np.inf, dtype=np.float64)
-        sources = np.full((rows.size, max_len), -1, dtype=np.int32)
-    t_dist = t_sort = 0.0
-    for m in lengths:
-        sel = np.flatnonzero(valid_len == m)
-        group, group_folds = rows[sel], row_folds[sel]
-        t0 = time.perf_counter()
-        one_fold = bool((group_folds == group_folds[0]).all())
-        # ascending columns: ties by column == ties by source index
-        cols = np.flatnonzero(fold_of != group_folds[0]) if one_fold else np.arange(n)
-        dist = distance_matrix(features[group], features[cols], metric)
-        t1 = time.perf_counter()
-        order, sorted_d = sort_rows(dist)
-        del dist
-        if one_fold:
-            src = cols.astype(np.int32)[order]
-        else:
-            keep = fold_of[order] != group_folds[:, None]
-            src = order[keep].astype(np.int32).reshape(sel.size, m)
-            sorted_d = sorted_d[keep].reshape(sel.size, m)
-            del keep
-        del order
-        if lengths.size > 1:
-            distances[sel, :m] = sorted_d
-            sources[sel, :m] = src
-        else:
-            distances, sources = sorted_d, src
-        del sorted_d, src
-        t_dist += t1 - t0
-        t_sort += time.perf_counter() - t1
-    labels = all_labels[sources]
-    if lengths.size > 1:
-        labels[sources < 0] = -1
+    t0 = time.perf_counter()
+    dist = distance_matrix(dataset.features[rows], dataset.features[cols], metric)
+    t1 = time.perf_counter()
+    order, distances = sort_rows(dist)
+    del dist
+    if one_fold:
+        sources = cols.astype(np.int32)[order]
+    else:
+        keep = fold_of[order] != row_folds[:, None]
+        sources, distances = order[keep].astype(np.int32), distances[keep]
+        del keep
+    del order
+    if padded:  # left-align each row's kept entries
+        fill = np.arange(shape[1]) < valid_len[:, None]
+        kept = sources, distances
+        sources, distances = np.full(shape, -1, dtype=np.int32), np.full(shape, np.inf)
+        sources[fill], distances[fill] = kept
+        del kept
+    else:
+        sources, distances = sources.reshape(shape), distances.reshape(shape)
+    t_sort = time.perf_counter() - t1
+    labels = dataset.labels.astype(np.int32)[sources]
+    if padded:
+        labels[~fill] = -1
 
     return SortedDistanceMatrix(
         distances=distances, labels=labels, sources=sources,
         valid_len=valid_len, k_max=folds.k_max, n=rows.size, f=folds.f,
-        build_seconds={"distance": t_dist, "sort": t_sort}, rows=rows,
+        build_seconds={"distance": t1 - t0, "sort": t_sort}, rows=rows,
     )

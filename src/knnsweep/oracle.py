@@ -22,7 +22,6 @@ class KSchedule:
     """Ascending distinct k values to evaluate."""
 
     values: tuple
-    mode: str  # "full" or "logarithmic"
 
     def __post_init__(self):
         vals = tuple(self.values)
@@ -31,7 +30,7 @@ class KSchedule:
 
 
 def full_schedule(k_max):
-    return KSchedule(values=tuple(range(1, k_max + 1)), mode="full")
+    return KSchedule(values=tuple(range(1, k_max + 1)))
 
 
 def logarithmic_schedule(k_max):
@@ -40,22 +39,7 @@ def logarithmic_schedule(k_max):
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     vals = set(range(1, 9)) | {10} | set(range(100, k_max + 1, 100)) | {k_max}
     vals = sorted(v for v in vals if 1 <= v <= k_max)
-    return KSchedule(values=tuple(vals), mode="logarithmic")
-
-
-def _vote_sorted(labels_sorted, dists_sorted, k, s, policy):
-    """Majority vote over the first k sorted neighbors of one query.
-
-    Shadow sums accumulate in ascending-neighbor order so they compare
-    bitwise-equal with the sweep's incremental accumulation.
-    """
-    counts = np.zeros(s, dtype=np.int64)
-    shadow = np.zeros(s, dtype=np.float64)
-    for j in range(k):
-        c = labels_sorted[j]
-        counts[c] += 1
-        shadow[c] += dists_sorted[j]
-    return classify_at_k(counts, shadow, policy)
+    return KSchedule(values=tuple(vals))
 
 
 def knn_classify(train_features, train_labels, query, k,
@@ -76,7 +60,7 @@ def knn_classify(train_features, train_labels, query, k,
     d = distance_matrix(query[None, :], train_features, metric)[0]
     order = np.argsort(d, kind="stable")  # distance ties -> lower index
     s = int(train_labels.max()) + 1
-    return _vote_sorted(train_labels[order], d[order], k, s, policy)
+    return int(_predict(train_labels[order][None], d[order][None], k, s, policy)[0])
 
 
 class FoldDistanceCache:
@@ -103,8 +87,8 @@ def _fold_neighbors(dataset, folds, i, metric):
     return test_rows, labels_sorted, dists_sorted
 
 
-def _correct_count(labels_sorted, dists_sorted, truth, k, s, policy):
-    """Correct classifications at depth k, recomputed from scratch."""
+def _predict(labels_sorted, dists_sorted, k, s, policy):
+    """Majority vote of each query row over its first k sorted neighbours, from scratch."""
     q = labels_sorted.shape[0]
     counts = np.zeros((q, s), dtype=np.int64)
     shadow = np.zeros((q, s), dtype=np.float64)
@@ -112,8 +96,7 @@ def _correct_count(labels_sorted, dists_sorted, truth, k, s, policy):
     # column-ascending accumulation matches the sweep's addition order
     np.add.at(counts, (idx, labels_sorted[:, :k]), 1)
     np.add.at(shadow, (idx, labels_sorted[:, :k]), dists_sorted[:, :k])
-    pred = classify_at_k(counts, shadow, policy)
-    return int(np.count_nonzero(pred == truth))
+    return classify_at_k(counts, shadow, policy)
 
 
 def cross_validate(dataset, folds, k, metric="euclidean",
@@ -134,8 +117,8 @@ def cross_validate(dataset, folds, k, metric="euclidean",
             test_rows, labels_sorted, dists_sorted = cache.folds_data[i]
         else:
             test_rows, labels_sorted, dists_sorted = _fold_neighbors(dataset, folds, i, metric)
-        correct[i] = _correct_count(labels_sorted, dists_sorted,
-                                    dataset.labels[test_rows], k, dataset.s, policy)
+        pred = _predict(labels_sorted, dists_sorted, k, dataset.s, policy)
+        correct[i] = np.count_nonzero(pred == dataset.labels[test_rows])
     return correct
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import DEFAULT_MEMORY_BUDGET, SORT_CELL_BYTES
+from .distance import DEFAULT_MEMORY_BUDGET, FIXED_BYTES, SORT_CELL_BYTES
 from .errors import (
     EmptyNeighborhood,
     InconsistentFolds,
@@ -35,8 +35,6 @@ BLOCK_BYTES = 96 << 20
 # stored lists during the vote, and tracemalloc peaks stay below it
 # (tests/test_kernel.py).
 VOTE_CELL_BYTES = 40
-# small allocations outside the arrays row_blocks sizes
-FIXED_BYTES = 1 << 16
 # rows sweep votes at once; bounds its temporaries on a matrix of every row
 SWEEP_BLOCK_ROWS = 1024
 

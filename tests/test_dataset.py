@@ -146,6 +146,12 @@ class TestStratifiedFolds:
         counts0 = [int(np.sum((fa.fold_of == i) & (ds.labels == 0))) for i in range(3)]
         assert sorted(counts0) == [1, 2, 2]
 
+    def test_pinned_assignment(self):
+        # classes of 5, 4 and 4 rows: the deal runs on from one class to the next
+        ds = generate_synthetic(13, 2, 3, 1.0, seed=5)
+        fa = stratified_folds(ds, 5, seed=5)
+        assert fa.fold_of.tolist() == [4, 3, 4, 2, 0, 2, 3, 2, 1, 1, 1, 0, 0]
+
     def test_deterministic(self):
         ds = generate_synthetic(50, 3, 3, 1.0, seed=5)
         a = stratified_folds(ds, 5, seed=77)

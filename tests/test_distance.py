@@ -1,4 +1,7 @@
+import importlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from knnsweep.dataset import Dataset, FoldAssignment, generate_synthetic, stratified_folds
 from knnsweep.distance import (
     ENTRY_BYTES,
+    FIXED_BYTES,
     SORT_CELL_BYTES,
     build_sorted_matrix,
     estimate_footprint,
@@ -13,6 +17,8 @@ from knnsweep.distance import (
 )
 from knnsweep.errors import DimensionMismatch, InconsistentFolds, MemoryBudgetExceeded
 from conftest import random_instance
+
+distance_module = importlib.import_module("knnsweep.distance")
 
 
 def brute_masked_rows(ds, fa, metric):
@@ -114,13 +120,56 @@ class TestBuildSortedMatrix:
     def test_memory_budget_counts_sort_temporaries(self, toy):
         # 4 rows of 2 stored entries fit in 4 * (2 * ENTRY_BYTES + 16) + 256
         # bytes, but each row's sort holds SORT_CELL_BYTES for each of its 4
-        # distance columns (the rows span both folds)
+        # distance columns (the rows span both folds), the 4 gathered rows
+        # and 4 gathered columns of 1 feature take 8 bytes each, and
+        # FIXED_BYTES covers the small allocations
         ds, fa = toy
         stored = 4 * (2 * ENTRY_BYTES + 16) + 256
         with pytest.raises(MemoryBudgetExceeded) as exc:
             build_sorted_matrix(ds, fa, memory_budget=stored)
-        assert exc.value.required == 4 * (4 * SORT_CELL_BYTES + 16) + 256
+        assert exc.value.required == (4 * (4 * SORT_CELL_BYTES + 16) + 8 * 1 * (4 + 4)
+                                      + FIXED_BYTES)
         build_sorted_matrix(ds, fa, memory_budget=exc.value.required)
+
+    @pytest.mark.parametrize("n, d, integer, f", [
+        (1000, 3, False, 5),
+        (1001, 3, True, 5),     # unequal folds: padded rows
+        (1003, 3, True, 7),
+        (600, 3, True, 600),    # LOOCV, every row tied
+        (1000, 3, False, None),  # 90/10 folds
+        (500, 48, False, 5),
+    ])
+    def test_traced_peak_within_budget(self, n, d, integer, f):
+        ds = generate_synthetic(n, d, 3, 1.0, seed=1)
+        if integer:
+            ds = Dataset(features=np.round(ds.features), labels=ds.labels, s=ds.s,
+                         class_names=ds.class_names)
+        if f is None:
+            fold_of = np.random.default_rng(1).permutation(n) >= (9 * n) // 10
+            fa = FoldAssignment(fold_of=fold_of.astype(np.int64), f=2)
+        else:
+            fa = stratified_folds(ds, f, seed=1)
+        with pytest.raises(MemoryBudgetExceeded) as exc:
+            build_sorted_matrix(ds, fa, memory_budget=1)
+        required = exc.value.required
+        tracemalloc.start()
+        try:
+            build_sorted_matrix(ds, fa, memory_budget=required)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= required
+
+    def test_one_distance_and_sort_pass(self):
+        ds = generate_synthetic(101, 2, 3, 1.0, seed=2)
+        fa = stratified_folds(ds, 10, seed=2)
+        with mock.patch.object(distance_module, "distance_matrix",
+                               wraps=distance_module.distance_matrix) as dist, \
+             mock.patch.object(distance_module, "sort_rows",
+                               wraps=distance_module.sort_rows) as sort:
+            m = build_sorted_matrix(ds, fa)
+        assert dist.call_count == 1 and sort.call_count == 1
+        assert sorted(set(m.valid_len.tolist())) == [90, 91]  # rows of two lengths
 
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
     def test_brute_force_equivalence(self, metric):
