@@ -285,14 +285,14 @@ def select_k(acc, evaluated_k=None, timing=None):
     k_star = int(math.floor(mean_best + 0.5))
     k_star = max(1, min(k_star, max(evaluated_k)))
 
-    curve = []
-    for row, k in enumerate(evaluated_k):
-        accs = per_fold[row]
-        curve.append({
-            "k": int(k),
-            "mean_accuracy": float(np.mean(accs)),
-            "std_accuracy": float(np.std(accs)),  # population std
-        })
+    means = per_fold.mean(axis=1)
+    # population std, np.std's steps done in place in per_fold (a new
+    # array): np.std(axis=1) would hold another (k_max, f) array
+    per_fold -= means[:, None]
+    per_fold *= per_fold
+    stds = np.sqrt(per_fold.mean(axis=1))
+    curve = [{"k": int(k), "mean_accuracy": mean, "std_accuracy": std}
+             for k, mean, std in zip(evaluated_k, means.tolist(), stds.tolist())]
 
     return KSearchReport(best_k_per_fold=best_k_per_fold, k_star=k_star,
                          curve=curve, evaluated_k=[int(k) for k in evaluated_k],

@@ -1,5 +1,7 @@
 import importlib
 import math
+import sys
+import time
 import tracemalloc
 from unittest import mock
 
@@ -10,10 +12,14 @@ from knnsweep.dataset import Dataset, FoldAssignment, generate_synthetic, strati
 from knnsweep.distance import (
     ENTRY_BYTES,
     FIXED_BYTES,
+    METRICS,
+    PARALLEL_WORK,
     SORT_CELL_BYTES,
     build_sorted_matrix,
+    distance_matrix,
     estimate_footprint,
     pairwise_distance,
+    sort_rows,
 )
 from knnsweep.errors import DimensionMismatch, InconsistentFolds, MemoryBudgetExceeded
 from conftest import random_instance
@@ -138,6 +144,7 @@ class TestBuildSortedMatrix:
         (600, 3, True, 600),    # LOOCV, every row tied
         (1000, 3, False, None),  # 90/10 folds
         (500, 48, False, 5),
+        (1500, 8, False, 5),    # cdist and sort above PARALLEL_WORK: threaded
     ])
     def test_traced_peak_within_budget(self, n, d, integer, f):
         ds = generate_synthetic(n, d, 3, 1.0, seed=1)
@@ -209,6 +216,88 @@ class TestBuildSortedMatrix:
         b = build_sorted_matrix(ds, fa)
         np.testing.assert_array_equal(a.distances, b.distances)
         np.testing.assert_array_equal(a.sources, b.sources)
+
+
+def workers(count):
+    return mock.patch.object(distance_module, "_worker_count", return_value=count)
+
+
+def counted_pool():
+    return mock.patch.object(distance_module, "ThreadPoolExecutor",
+                             wraps=distance_module.ThreadPoolExecutor)
+
+
+def distances_and_order(a, b, metric):
+    d = distance_matrix(a, b, metric)
+    return (d,) + sort_rows(d)
+
+
+class TestThreadedRowChunks:
+    """distance_matrix and sort_rows above PARALLEL_WORK, on a thread pool."""
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_equals_one_worker_and_stable_argsort(self, metric, integer):
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(400, 16)), rng.normal(size=(2500, 16))
+        if integer:  # small integer coordinates: every row has tied distances
+            a, b = np.round(a), np.round(b)
+        assert min(400 * 2500 * 16, 400 * 2500 * (2500).bit_length()) >= PARALLEL_WORK
+        with counted_pool() as pool:
+            threaded = distances_and_order(a, b, metric)
+        assert pool.call_count == 2
+        with workers(1), counted_pool() as pool:
+            serial = distances_and_order(a, b, metric)
+        assert pool.call_count == 0
+        for got, want in zip(threaded, serial):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        d, order, sorted_d = threaded
+        expected = np.argsort(d, axis=1, kind="stable")
+        np.testing.assert_array_equal(order, expected)
+        assert sorted_d.tobytes() == np.take_along_axis(d, expected, axis=1).tobytes()
+        if integer:
+            assert (sorted_d[:, 1:] == sorted_d[:, :-1]).any(axis=1).all()
+
+    def test_loocv_rows_span_folds(self):
+        ds = generate_synthetic(1200, 8, 3, 1.0, seed=4)
+        ds = Dataset(features=np.round(ds.features), labels=ds.labels, s=ds.s,
+                     class_names=ds.class_names)
+        fa = stratified_folds(ds, ds.n, seed=4)
+        with counted_pool() as pool:
+            threaded = build_sorted_matrix(ds, fa, "manhattan")
+        assert pool.call_count == 2
+        with workers(1):
+            serial = build_sorted_matrix(ds, fa, "manhattan")
+        for name in ("distances", "labels", "sources", "valid_len"):
+            np.testing.assert_array_equal(getattr(threaded, name), getattr(serial, name))
+
+    def test_stress_more_workers_than_cores(self):
+        rng = np.random.default_rng(11)
+        a, b = np.round(rng.normal(size=(400, 20))), np.round(rng.normal(size=(2000, 20)))
+        with workers(1):
+            serial = distances_and_order(a, b, "chebyshev")
+        interval = sys.getswitchinterval()
+        deadline = time.monotonic() + 5.0
+        rounds = 0
+        sys.setswitchinterval(1e-6)
+        try:
+            with workers(8), counted_pool() as pool:
+                while rounds < 10 and (rounds == 0 or time.monotonic() < deadline):
+                    for got, want in zip(distances_and_order(a, b, "chebyshev"), serial):
+                        assert got.tobytes() == want.tobytes()
+                    rounds += 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert pool.call_count == 2 * rounds
+        assert all(call.kwargs["max_workers"] == 8 for call in pool.call_args_list)
+
+    def test_small_calls_stay_on_the_calling_thread(self):
+        rng = np.random.default_rng(5)
+        with counted_pool() as pool:
+            distances_and_order(rng.normal(size=(1, 4)), rng.normal(size=(5000, 4)), "euclidean")
+            distances_and_order(rng.normal(size=(240, 4)), rng.normal(size=(4800, 4)), "euclidean")
+        # the second sort (240 * 4800 * 13 operations) is the one pool
+        assert pool.call_count == 1
 
 
 class TestEstimateFootprint:

@@ -98,6 +98,9 @@ def test_blocks_one_row_and_spanning():
     (300, 3, 3, 5, "euclidean", "smallest_code"),
     (200, 40, 2, 10, "manhattan", "smallest_code"),
     (150, 3, 20, 150, "chebyshev", "shadow_min"),
+    # at scale 4 one block of every row: its cdist and sort pass
+    # PARALLEL_WORK and run on the thread pool
+    (1000, 1500, 2, 2, "euclidean", "smallest_code"),
 ])
 @pytest.mark.parametrize("scale", [1, 4])
 def test_traced_peak_within_budget(n, d, s, f, metric, policy, scale):

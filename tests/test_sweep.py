@@ -131,6 +131,18 @@ class TestSelectK:
         assert report.curve[0] == {"k": 1, "mean_accuracy": 0.75, "std_accuracy": 0.25}
         assert report.curve[1] == {"k": 2, "mean_accuracy": 1.0, "std_accuracy": 0.0}
 
+    @pytest.mark.parametrize("k_max, f", [(1, 2), (40, 2), (25, 5), (300, 10), (60, 3000)])
+    def test_curve_equals_per_row_loop(self, k_max, f):
+        rng = np.random.default_rng(k_max * f)
+        fold_sizes = rng.integers(1, 50, size=f)
+        correct = rng.integers(0, fold_sizes + 1, size=(k_max, f))
+        acc = AccuracyMatrix(correct=correct, fold_sizes=fold_sizes, k_max=k_max, f=f)
+        per_fold = acc.per_fold_accuracy()
+        expected = [{"k": k, "mean_accuracy": float(np.mean(per_fold[k - 1])),
+                     "std_accuracy": float(np.std(per_fold[k - 1]))}
+                    for k in range(1, k_max + 1)]
+        assert select_k(acc).curve == expected
+
     def test_argmax_tie_prefers_smallest_k(self):
         correct = np.array([[1], [2], [1], [1], [1], [1], [2]])
         acc = AccuracyMatrix(correct=correct, fold_sizes=np.array([3]), k_max=7, f=1)
