@@ -135,6 +135,8 @@ def cmd_bench(args):
             raise ValidationError(f"unknown mode {m!r}; choose from {MODES}")
     if len(modes) < 2:
         raise ValidationError("bench needs at least two modes")
+    if len(set(modes)) != len(modes):
+        raise ValidationError(f"bench modes must be distinct, got {args.modes!r}")
 
     dataset = _load_data(args)
     folds = stratified_folds(dataset, args.folds, args.seed)

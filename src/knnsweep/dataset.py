@@ -16,6 +16,7 @@ from .errors import (
     EmptyDataset,
     InconsistentFolds,
     InconsistentInputs,
+    IoError,
     NonFiniteFeature,
     ParseError,
     SingleClass,
@@ -113,52 +114,57 @@ def load_csv(path, label_column):
 
     label_column is a header name or a 0-based column index. Labels are
     integer-encoded in order of first appearance; feature cells must parse
-    as finite floats.
+    as finite floats. Unreadable paths raise IoError, non-UTF-8 bytes ParseError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataset(f"{path}: no header row")
-        header = [h.strip() for h in header]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise EmptyDataset(f"{path}: no header row")
+            header = [h.strip() for h in header]
 
-        if isinstance(label_column, int) or (
-            isinstance(label_column, str) and label_column not in header
-            and label_column.lstrip("-").isdigit()
-        ):
-            label_idx = int(label_column)
-            if label_idx < 0 or label_idx >= len(header):
-                raise ParseError(0, label_column, "label column index out of range")
-        else:
-            if label_column not in header:
-                raise ParseError(0, label_column, "label column not found in header")
-            label_idx = header.index(label_column)
+            if isinstance(label_column, int) or (
+                isinstance(label_column, str) and label_column not in header
+                and label_column.lstrip("-").isdigit()
+            ):
+                label_idx = int(label_column)
+                if label_idx < 0 or label_idx >= len(header):
+                    raise ParseError(0, label_column, "label column index out of range")
+            else:
+                if label_column not in header:
+                    raise ParseError(0, label_column, "label column not found in header")
+                label_idx = header.index(label_column)
 
-        feature_cols = [i for i in range(len(header)) if i != label_idx]
-        if not feature_cols:
-            raise EmptyDataset(f"{path}: no feature columns")
+            feature_cols = [i for i in range(len(header)) if i != label_idx]
+            if not feature_cols:
+                raise EmptyDataset(f"{path}: no feature columns")
 
-        rows = []
-        raw_labels = []
-        for rownum, record in enumerate(reader, start=1):
-            if len(record) != len(header):
-                raise ParseError(rownum, "<row>", f"expected {len(header)} fields, got {len(record)}")
-            label = record[label_idx].strip()
-            if not label:
-                raise ParseError(rownum, header[label_idx], "empty label")
-            vals = []
-            for c in feature_cols:
-                cell = record[c].strip()
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(rownum, header[c], f"cannot parse {cell!r} as a real number")
-                if not math.isfinite(v):
-                    raise NonFiniteFeature(rownum, header[c])
-                vals.append(v)
-            rows.append(vals)
-            raw_labels.append(label)
+            rows = []
+            raw_labels = []
+            for rownum, record in enumerate(reader, start=1):
+                if len(record) != len(header):
+                    raise ParseError(rownum, "<row>", f"expected {len(header)} fields, got {len(record)}")
+                label = record[label_idx].strip()
+                if not label:
+                    raise ParseError(rownum, header[label_idx], "empty label")
+                vals = []
+                for c in feature_cols:
+                    cell = record[c].strip()
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        raise ParseError(rownum, header[c], f"cannot parse {cell!r} as a real number")
+                    if not math.isfinite(v):
+                        raise NonFiniteFeature(rownum, header[c])
+                    vals.append(v)
+                rows.append(vals)
+                raw_labels.append(label)
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(_undecodable_line(path), "<file>", f"not UTF-8 ({exc.reason})") from exc
 
     if len(rows) < 2:
         raise EmptyDataset(f"{path}: need at least 2 data rows, got {len(rows)}")
@@ -177,6 +183,16 @@ def load_csv(path, label_column):
     features = np.asarray(rows, dtype=np.float64)
     return Dataset(features=features, labels=codes, s=len(class_names),
                    class_names=class_names)
+
+
+def _undecodable_line(path):
+    """Line (0 = header) holding the first bytes of path that are not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start)
 
 
 def stratified_folds(dataset, f, seed):

@@ -1,10 +1,9 @@
 """Fold-masked pairwise distances and row-sorted neighbor lists.
 
 The sorted matrix keeps, per row, only the cross-fold neighbors (the row's
-own fold is never a training set). It holds every row or one block of rows,
-built with one distance pass and one sort pass over all of them. When the
-rows' valid lengths differ, rows are left-aligned and padded to the longest;
-padding cells carry +inf distance and -1 label/source.
+own fold is never a training set). It holds one block of rows that share one
+fold size, so every row has the same number of neighbors, built with one
+distance pass and one sort pass over all of them.
 """
 
 import os
@@ -154,11 +153,12 @@ def sort_rows(d):
 
 
 def estimate_footprint(n, f):
-    """Bytes needed for the sorted matrix.
+    """Bytes the stored neighbour lists of all n rows would take at once.
 
     Rows in the smallest fold keep the most entries (n minus the smallest
     fold size, with near-equal folds of floor(n/f)), so the bound uses that
-    worst case for every row.
+    worst case for every row. Nothing in the package builds all n rows at
+    once; this stays only because perfbench/child.py reads it.
     """
     per_row = n - (n // f)
     return n * per_row * ENTRY_BYTES + n * ROW_OVERHEAD + BASE_OVERHEAD
@@ -168,46 +168,42 @@ def estimate_footprint(n, f):
 class SortedDistanceMatrix:
     """Per-row ascending (distance, label, source) neighbor lists.
 
-    Row j holds the neighbours of dataset row rows[j] (row j itself when rows
-    is None: a matrix of every row). distances/labels/sources are (n, max_len)
-    with rows padded past valid_len[j]; k_max = dataset size - max fold size
-    is the depth usable by every row.
+    Row j holds the neighbours of dataset row rows[j]. distances/labels/
+    sources are (n, m) arrays, m = dataset size - the rows' fold size;
+    k_max = dataset size - max fold size is the depth usable by every row.
     """
 
     distances: np.ndarray
     labels: np.ndarray
     sources: np.ndarray
-    valid_len: np.ndarray
     k_max: int
     n: int
     f: int
     build_seconds: dict
-    rows: np.ndarray = None
+    rows: np.ndarray
 
     def __post_init__(self):
-        if self.rows is None:
-            object.__setattr__(self, "rows", np.arange(self.n))
-        for arr in (self.distances, self.labels, self.sources, self.valid_len, self.rows):
+        for arr in (self.distances, self.labels, self.sources, self.rows):
             arr.setflags(write=False)
 
-    def row(self, r):
-        """Valid entries of row r as (distances, labels, sources)."""
-        m = int(self.valid_len[r])
-        return self.distances[r, :m], self.labels[r, :m], self.sources[r, :m]
+    @property
+    def valid_len(self):
+        """(n,) count of neighbours per row, all equal to distances.shape[1]."""
+        return np.full(self.n, self.distances.shape[1])
 
 
 def build_sorted_matrix(dataset, folds, metric="euclidean",
-                        memory_budget=DEFAULT_MEMORY_BUDGET, rows=None):
-    """Sort the cross-fold neighbours of `rows` (every row by default) ascending.
+                        memory_budget=DEFAULT_MEMORY_BUDGET, *, rows):
+    """Sort the cross-fold neighbours of `rows` ascending.
 
-    Same-fold pairs and the diagonal are dropped entirely. Ties on distance
-    are broken by source index ascending, which makes every row fully
-    deterministic. One distance_matrix and one sort_rows call serve all the
-    rows: rows of one fold take distances to that fold's complement; rows of
-    several folds take all n columns, and after the sort each row drops its
-    own fold's entries (a filter keeps the sorted order). Only when the
-    rows' lengths differ are the kept entries left-aligned into padded
-    arrays. Records wall-clock of the distance and sort phases in
+    The rows must share one fold size (every block of sweep.row_blocks
+    does), else InconsistentInputs. Same-fold pairs and the diagonal are
+    dropped entirely. Ties on distance are broken by source index ascending,
+    which makes every row fully deterministic. One distance_matrix and one
+    sort_rows call serve all the rows: rows of one fold take distances to
+    that fold's complement; rows of several folds take all n columns, and
+    after the sort each row drops its own fold's entries (a filter keeps the
+    sorted order). Records wall-clock of the distance and sort phases in
     build_seconds. Raises MemoryBudgetExceeded when the working memory
     (SORT_CELL_BYTES per distance cell, the gathered feature rows and
     columns, FIXED_BYTES) exceeds memory_budget.
@@ -217,16 +213,14 @@ def build_sorted_matrix(dataset, folds, metric="euclidean",
     if folds.n != n:
         raise InconsistentFolds(f"folds cover {folds.n} rows, dataset has {n}")
     fold_of = folds.fold_of
-    if rows is None:
-        rows = np.arange(n)
-    else:
-        rows = np.array(rows, dtype=np.intp)
-        if rows.ndim != 1 or rows.size == 0 or rows.min() < 0 or rows.max() >= n:
-            raise InconsistentInputs(f"rows must be a non-empty list of indices below {n}")
+    rows = np.array(rows, dtype=np.intp)
+    if rows.ndim != 1 or rows.size == 0 or rows.min() < 0 or rows.max() >= n:
+        raise InconsistentInputs(f"rows must be a non-empty list of indices below {n}")
     row_folds = fold_of[rows]
-    valid_len = n - folds.fold_sizes[row_folds]
-    shape = (rows.size, int(valid_len.max()))
-    padded = valid_len.min() < shape[1]
+    sizes = folds.fold_sizes[row_folds]
+    if np.any(sizes != sizes[0]):
+        raise InconsistentInputs("rows must all lie in folds of one size")
+    shape = (rows.size, n - int(sizes[0]))
 
     one_fold = bool((row_folds == row_folds[0]).all())
     # ascending columns: ties by column == ties by source index
@@ -248,21 +242,12 @@ def build_sorted_matrix(dataset, folds, metric="euclidean",
         sources, distances = order[keep].astype(np.int32), distances[keep]
         del keep
     del order
-    if padded:  # left-align each row's kept entries
-        fill = np.arange(shape[1]) < valid_len[:, None]
-        kept = sources, distances
-        sources, distances = np.full(shape, -1, dtype=np.int32), np.full(shape, np.inf)
-        sources[fill], distances[fill] = kept
-        del kept
-    else:
-        sources, distances = sources.reshape(shape), distances.reshape(shape)
+    sources, distances = sources.reshape(shape), distances.reshape(shape)
     t_sort = time.perf_counter() - t1
     labels = dataset.labels.astype(np.int32)[sources]
-    if padded:
-        labels[~fill] = -1
 
     return SortedDistanceMatrix(
         distances=distances, labels=labels, sources=sources,
-        valid_len=valid_len, k_max=folds.k_max, n=rows.size, f=folds.f,
+        k_max=folds.k_max, n=rows.size, f=folds.f,
         build_seconds={"distance": t1 - t0, "sort": t_sort}, rows=rows,
     )

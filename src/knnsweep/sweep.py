@@ -35,8 +35,6 @@ BLOCK_BYTES = 96 << 20
 # stored lists during the vote, and tracemalloc peaks stay below it
 # (tests/test_kernel.py).
 VOTE_CELL_BYTES = 40
-# rows sweep votes at once; bounds its temporaries on a matrix of every row
-SWEEP_BLOCK_ROWS = 1024
 
 
 def check_policy(policy):
@@ -103,14 +101,16 @@ class KSearchReport:
 
 
 def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
-    """Tally hits at every k = 1..k_max over the rows a sorted matrix holds.
+    """Tally hits at every k = 1..k_max over the rows of one sorted block.
 
     Row j's k-th nearest cross-fold neighbor is its vote at depth k;
     k_max = n - max fold size guarantees every row has a k-th neighbor.
-    Hits are added per fold into `correct`, a (k_max, f) int64 tally (a new
-    zeroed one by default): sweeping every block of row_blocks into one
-    tally gives the whole accuracy matrix with one block's neighbour lists
-    in memory at a time. Returns a read-only AccuracyMatrix view of the tally.
+    The rows of one fold must be contiguous in the block (as in every block
+    of row_blocks), else InconsistentInputs. Hits are added per fold into
+    `correct`, a (k_max, f) int64 tally (a new zeroed one by default):
+    sweeping every block of row_blocks into one tally gives the whole
+    accuracy matrix with one block's neighbour lists in memory at a time.
+    Returns a read-only AccuracyMatrix view of the tally.
     """
     check_policy(policy)
     truth = np.asarray(truth)
@@ -120,8 +120,10 @@ def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
             f"sizes disagree: matrix rows up to {rows.max()}, folds n={folds.n}, "
             f"truth n={truth.shape[0]}")
     row_folds = folds.fold_of[rows]
-    if np.any(matrix.valid_len != folds.n - folds.fold_sizes[row_folds]):
+    if np.any(folds.fold_sizes[row_folds] != folds.n - matrix.distances.shape[1]):
         raise InconsistentInputs("matrix row lengths disagree with the folds")
+    if np.count_nonzero(np.diff(row_folds)) + 1 != np.unique(row_folds).size:
+        raise InconsistentInputs("the rows of one fold are not contiguous in the block")
     k_max = matrix.k_max
     if k_max < 1:
         raise InconsistentInputs("k_max < 1: some fold covers all but 0 rows")
@@ -132,17 +134,9 @@ def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
 
     labels = matrix.labels[:, :k_max]
     s = int(max(truth.max(), labels.max())) + 1
-    # _accumulate wants each fold's rows together; slices, where the rows
-    # already are, save a copy of every vote
-    by_fold = (None if np.all(row_folds[1:] >= row_folds[:-1])
-               else np.argsort(row_folds, kind="stable"))
-    for lo in range(0, matrix.n, SWEEP_BLOCK_ROWS):
-        block = (slice(lo, lo + SWEEP_BLOCK_ROWS) if by_fold is None
-                 else by_fold[lo:lo + SWEEP_BLOCK_ROWS])
-        votes = np.ascontiguousarray(labels[block].T, dtype=np.int64)
-        dists = matrix.distances[block, :k_max].T.copy() if policy == "shadow_min" else None
-        _accumulate(correct, votes, dists, truth[rows[block]], row_folds[block], s, policy)
-        del votes, dists
+    votes = np.ascontiguousarray(labels.T, dtype=np.int64)
+    dists = matrix.distances[:, :k_max].T.copy() if policy == "shadow_min" else None
+    _accumulate(correct, votes, dists, truth[rows], row_folds, s, policy)
     return AccuracyMatrix(correct=correct.view(), fold_sizes=folds.fold_sizes.copy(),
                           k_max=k_max, f=folds.f)
 
@@ -277,8 +271,10 @@ def select_k(acc, evaluated_k=None, timing=None):
         evaluated_k = list(range(1, acc.k_max + 1))
     evaluated_k = list(evaluated_k)
 
+    # first max = smallest k; argmax copies the whole tally to run down its
+    # columns, so it goes first and that copy is freed before per_fold exists
+    best_rows = np.argmax(acc.correct, axis=0)
     per_fold = acc.per_fold_accuracy()  # rows follow evaluated_k order
-    best_rows = np.argmax(acc.correct, axis=0)  # first max = smallest k
     best_k_per_fold = [int(evaluated_k[r]) for r in best_rows]
 
     mean_best = sum(best_k_per_fold) / len(best_k_per_fold)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from knnsweep.dataset import Dataset, FoldAssignment, generate_synthetic, stratified_folds
+from knnsweep.distance import build_sorted_matrix
+from knnsweep.sweep import row_blocks
 
 
 @pytest.fixture
@@ -24,3 +26,12 @@ def random_instance(rng, n_range=(10, 200), d_range=(1, 5), s_range=(2, 4),
                             int(rng.integers(2**32)))
     fa = stratified_folds(ds, f, int(rng.integers(2**32)))
     return ds, fa
+
+
+def sorted_rows(ds, fa, metric="euclidean"):
+    """(row, distances, labels, sources) of every row's sorted neighbour list,
+    built block by block over row_blocks as the CLI builds them."""
+    for rows in row_blocks(ds, fa):
+        block = build_sorted_matrix(ds, fa, metric, rows=rows)
+        for j, r in enumerate(block.rows.tolist()):
+            yield r, block.distances[j], block.labels[j], block.sources[j]

@@ -1,5 +1,7 @@
 """Acceptance gate: one test per release criterion, one PASS line each.
 
+Every criterion checks the path the CLI runs: accuracies come from
+blocked_sweep, and neighbour lists from the blocks of row_blocks.
 Run with -s to see the per-criterion lines. The speedup and scaling checks
 (criteria 3 and 4) time real computation and dominate the suite's runtime.
 """
@@ -10,10 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import random_instance, sorted_rows
+from knnsweep.cli import blocked_sweep
 from knnsweep.cli import main as cli_main
 from knnsweep.dataset import Dataset, FoldAssignment, generate_synthetic, stratified_folds
-from knnsweep.distance import build_sorted_matrix
 from knnsweep.oracle import (
     FoldDistanceCache,
     cross_validate,
@@ -21,7 +23,7 @@ from knnsweep.oracle import (
     logarithmic_schedule,
     naive_search,
 )
-from knnsweep.sweep import select_k, sweep
+from knnsweep.sweep import select_k
 
 POLICIES = ("smallest_code", "shadow_min")
 
@@ -38,7 +40,7 @@ def instance_pool():
     for _ in range(100):
         ds, fa = random_instance(rng, n_range=(10, 200), d_range=(1, 5),
                                  s_range=(2, 4), f_choices=(3, 5))
-        pool.append((ds, fa, build_sorted_matrix(ds, fa)))
+        pool.append((ds, fa))
     return pool
 
 
@@ -46,10 +48,10 @@ def test_criterion_1_oracle_equivalence(instance_pool):
     """Sweep's per-fold correct counts match naive CV exactly, for every k."""
     t0 = time.perf_counter()
     checked = 0
-    for ds, fa, matrix in instance_pool:
+    for ds, fa in instance_pool:
         cache = FoldDistanceCache(ds, fa, "euclidean")
         for policy in POLICIES:
-            acc = sweep(matrix, fa, ds.labels, policy)
+            acc, _ = blocked_sweep(ds, fa, "euclidean", policy)
             for k in range(1, fa.k_max + 1):
                 naive = cross_validate(ds, fa, k, policy=policy, cache=cache)
                 assert (naive == acc.correct[k - 1]).all(), (
@@ -64,8 +66,7 @@ def test_criterion_1_oracle_equivalence(instance_pool):
 def test_criterion_2_toy_regression(toy):
     """Golden values for the 4-point instance, as confirmed by the oracle."""
     ds, fa = toy
-    matrix = build_sorted_matrix(ds, fa)
-    acc = sweep(matrix, fa, ds.labels)
+    acc, _ = blocked_sweep(ds, fa)
     for k in range(1, fa.k_max + 1):
         np.testing.assert_array_equal(acc.correct[k - 1], cross_validate(ds, fa, k))
     assert acc.correct.tolist() == [[1, 2], [1, 1]]
@@ -84,8 +85,7 @@ def desk_scale_timings():
         ds = generate_synthetic(n, 4, 3, 1.0, seed=7)
         fa = stratified_folds(ds, 5, seed=7)
         t0 = time.perf_counter()
-        matrix = build_sorted_matrix(ds, fa)
-        acc = sweep(matrix, fa, ds.labels)
+        acc, _ = blocked_sweep(ds, fa)
         timings[n] = {"seconds": time.perf_counter() - t0,
                       "dataset": ds, "folds": fa, "acc": acc}
     return timings
@@ -120,10 +120,11 @@ def test_criterion_4_complexity_scaling(desk_scale_timings):
 
 def test_criterion_5_mask_and_sort_invariants(instance_pool):
     """No same-fold neighbor, rows non-decreasing, symmetry exact."""
-    for ds, fa, matrix in instance_pool:
+    for ds, fa in instance_pool:
         lookup = {}
-        for r in range(ds.n):
-            d, lab, src = matrix.row(r)
+        seen = []
+        for r, d, lab, src in sorted_rows(ds, fa):
+            seen.append(r)
             assert d.size == ds.n - fa.fold_sizes[fa.fold_of[r]]
             assert np.all(fa.fold_of[src] != fa.fold_of[r])
             assert np.all(src != r)
@@ -131,6 +132,7 @@ def test_criterion_5_mask_and_sort_invariants(instance_pool):
             assert np.array_equal(lab, ds.labels[src])
             for dist, j in zip(d, src):
                 lookup[(r, int(j))] = dist
+        assert sorted(seen) == list(range(ds.n))  # blocks cover each row once
         for (r, j), dist in lookup.items():
             assert lookup[(j, r)] == dist
     report("criterion 5: mask/sort/symmetry invariants",
@@ -145,8 +147,8 @@ def test_criterion_6_argmax_invariance():
         scaled = Dataset(features=ds.features * 1000.0, labels=ds.labels.copy(),
                          s=ds.s, class_names=list(ds.class_names))
         for policy in POLICIES:
-            acc_a = sweep(build_sorted_matrix(ds, fa), fa, ds.labels, policy)
-            acc_b = sweep(build_sorted_matrix(scaled, fa), fa, ds.labels, policy)
+            acc_a, _ = blocked_sweep(ds, fa, "euclidean", policy)
+            acc_b, _ = blocked_sweep(scaled, fa, "euclidean", policy)
             np.testing.assert_array_equal(acc_a.correct, acc_b.correct)
             rep_a, rep_b = select_k(acc_a), select_k(acc_b)
             assert rep_a.best_k_per_fold == rep_b.best_k_per_fold

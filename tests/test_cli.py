@@ -74,6 +74,14 @@ class TestOptimize:
     def test_missing_input_spec(self):
         assert run(["optimize", "--folds", "2"]) == 2
 
+    def test_unreadable_input_exit_codes(self, tmp_path, capsys):
+        assert run(["optimize", "--input", str(tmp_path / "missing.csv")]) == 16  # IoError
+        assert run(["optimize", "--input", str(tmp_path)]) == 16
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes("x,label\n0,A\n1,\u00e9\n".encode("latin-1"))
+        assert run(["optimize", "--input", str(latin1)]) == 3  # ParseError
+        assert "UTF-8" in capsys.readouterr().err
+
     def test_negative_seed_exit_code(self, toy_csv, capsys):
         assert run(["optimize", "--input", str(toy_csv), "--folds", "2",
                     "--seed", "-1"]) == 9  # BadParams
@@ -151,6 +159,10 @@ class TestBench:
 
     def test_single_mode_rejected(self):
         assert run(["bench", "--synthetic", "20,2,2,0.5", "--modes", "sweep"]) == 2
+
+    def test_duplicate_modes_rejected(self, capsys):
+        assert run(["bench", "--synthetic", "20,2,2,0.5", "--modes", "sweep,sweep"]) == 2
+        assert "distinct" in capsys.readouterr().err
 
     def test_unknown_mode_rejected(self):
         assert run(["bench", "--synthetic", "20,2,2,0.5",

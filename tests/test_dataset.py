@@ -16,6 +16,7 @@ from knnsweep.errors import (
     EmptyDataset,
     InconsistentFolds,
     InconsistentInputs,
+    IoError,
     NonFiniteFeature,
     ParseError,
     SingleClass,
@@ -96,6 +97,21 @@ class TestLoadCsv:
         p = write_csv(tmp_path, "x,label\n0,A\n1,\n")
         with pytest.raises(ParseError):
             load_csv(p, "label")
+
+    @pytest.mark.parametrize("path", ["missing.csv", ".", "data.csv/x"])
+    def test_unreadable_path_is_io_error(self, tmp_path, path):
+        write_csv(tmp_path, "x,label\n0,A\n1,B\n")
+        with pytest.raises(IoError):
+            load_csv(tmp_path / path, "label")
+
+    @pytest.mark.parametrize("good_rows", [0, 1, 5000])
+    def test_non_utf8_bytes_report_their_row(self, tmp_path, good_rows):
+        # 5000 rows put the bad byte past the first block the reader decodes
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"x,label\n" + b"0,A\n1,B\n" * good_rows + "2,\u00e9\n".encode("latin-1"))
+        with pytest.raises(ParseError) as exc:
+            load_csv(p, "label")
+        assert exc.value.row == 2 * good_rows + 1
 
 
 class TestDatasetLabels:

@@ -22,7 +22,7 @@ from knnsweep.distance import (
     sort_rows,
 )
 from knnsweep.errors import DimensionMismatch, InconsistentFolds, MemoryBudgetExceeded
-from conftest import random_instance
+from conftest import random_instance, sorted_rows
 
 distance_module = importlib.import_module("knnsweep.distance")
 
@@ -84,43 +84,40 @@ class TestPairwiseDistance:
 class TestBuildSortedMatrix:
     def test_toy_rows(self, toy):
         ds, fa = toy
-        m = build_sorted_matrix(ds, fa)
-        d, lab, src = m.row(0)
-        assert d.tolist() == [1.0, 10.0]
-        assert lab.tolist() == [0, 1]
-        assert src.tolist() == [1, 3]
-        assert m.valid_len.tolist() == [2, 2, 2, 2]
+        m = build_sorted_matrix(ds, fa, rows=np.arange(4))  # both folds hold 2 rows
+        assert m.distances[0].tolist() == [1.0, 10.0]
+        assert m.labels[0].tolist() == [0, 1]
+        assert m.sources[0].tolist() == [1, 3]
+        assert m.valid_len.shape == (4,) and m.valid_len.tolist() == [2, 2, 2, 2]
         assert m.k_max == 2
 
     def test_leave_one_out(self):
         ds = generate_synthetic(8, 2, 2, 1.0, seed=1)
         fa = stratified_folds(ds, 8, seed=1)
-        m = build_sorted_matrix(ds, fa)
-        assert m.valid_len.tolist() == [7] * 8
+        m = build_sorted_matrix(ds, fa, rows=np.arange(8))
+        assert m.distances.shape == (8, 7)
         assert m.k_max == 7
         for r in range(8):
-            assert r not in m.row(r)[2]
+            assert r not in m.sources[r]
 
     def test_duplicate_rows_distance_zero_first(self):
         ds = Dataset(features=np.array([[5.0], [5.0], [0.0], [9.0]]),
                      labels=np.array([0, 1, 0, 1]), s=2, class_names=["a", "b"])
         fa = FoldAssignment(fold_of=np.array([0, 1, 0, 1]), f=2)
-        m = build_sorted_matrix(ds, fa)
-        d0, _, s0 = m.row(0)
-        assert d0[0] == 0.0 and s0[0] == 1
-        d1, _, s1 = m.row(1)
-        assert d1[0] == 0.0 and s1[0] == 0
+        m = build_sorted_matrix(ds, fa, rows=np.arange(4))
+        assert m.distances[0, 0] == 0.0 and m.sources[0, 0] == 1
+        assert m.distances[1, 0] == 0.0 and m.sources[1, 0] == 0
 
     def test_inconsistent_folds(self, toy):
         ds, _ = toy
         fa = FoldAssignment(fold_of=np.array([0, 1, 0]), f=2)
         with pytest.raises(InconsistentFolds):
-            build_sorted_matrix(ds, fa)
+            build_sorted_matrix(ds, fa, rows=[0])
 
     def test_memory_budget(self, toy):
         ds, fa = toy
         with pytest.raises(MemoryBudgetExceeded) as exc:
-            build_sorted_matrix(ds, fa, memory_budget=10)
+            build_sorted_matrix(ds, fa, memory_budget=10, rows=np.arange(4))
         assert exc.value.required > exc.value.budget == 10
 
     def test_memory_budget_counts_sort_temporaries(self, toy):
@@ -131,22 +128,24 @@ class TestBuildSortedMatrix:
         # FIXED_BYTES covers the small allocations
         ds, fa = toy
         stored = 4 * (2 * ENTRY_BYTES + 16) + 256
+        rows = np.arange(4)
         with pytest.raises(MemoryBudgetExceeded) as exc:
-            build_sorted_matrix(ds, fa, memory_budget=stored)
+            build_sorted_matrix(ds, fa, memory_budget=stored, rows=rows)
         assert exc.value.required == (4 * (4 * SORT_CELL_BYTES + 16) + 8 * 1 * (4 + 4)
                                       + FIXED_BYTES)
-        build_sorted_matrix(ds, fa, memory_budget=exc.value.required)
+        build_sorted_matrix(ds, fa, memory_budget=exc.value.required, rows=rows)
 
     @pytest.mark.parametrize("n, d, integer, f", [
         (1000, 3, False, 5),
-        (1001, 3, True, 5),     # unequal folds: padded rows
+        (1001, 3, True, 5),     # unequal folds: one block per fold size
         (1003, 3, True, 7),
-        (600, 3, True, 600),    # LOOCV, every row tied
-        (1000, 3, False, None),  # 90/10 folds
+        (600, 3, True, 600),    # LOOCV, every row tied: one block spanning every fold
+        (1000, 3, False, None),  # 90/10 folds: one block per fold
         (500, 48, False, 5),
         (1500, 8, False, 5),    # cdist and sort above PARALLEL_WORK: threaded
     ])
     def test_traced_peak_within_budget(self, n, d, integer, f):
+        # each block holds the rows of one fold size, one fold or several
         ds = generate_synthetic(n, d, 3, 1.0, seed=1)
         if integer:
             ds = Dataset(features=np.round(ds.features), labels=ds.labels, s=ds.s,
@@ -156,37 +155,39 @@ class TestBuildSortedMatrix:
             fa = FoldAssignment(fold_of=fold_of.astype(np.int64), f=2)
         else:
             fa = stratified_folds(ds, f, seed=1)
-        with pytest.raises(MemoryBudgetExceeded) as exc:
-            build_sorted_matrix(ds, fa, memory_budget=1)
-        required = exc.value.required
-        tracemalloc.start()
-        try:
-            build_sorted_matrix(ds, fa, memory_budget=required)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= required
+        row_size = fa.fold_sizes[fa.fold_of]
+        for size in np.unique(row_size):
+            rows = np.flatnonzero(row_size == size)
+            with pytest.raises(MemoryBudgetExceeded) as exc:
+                build_sorted_matrix(ds, fa, memory_budget=1, rows=rows)
+            required = exc.value.required
+            tracemalloc.start()
+            try:
+                build_sorted_matrix(ds, fa, memory_budget=required, rows=rows)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= required
 
     def test_one_distance_and_sort_pass(self):
         ds = generate_synthetic(101, 2, 3, 1.0, seed=2)
         fa = stratified_folds(ds, 10, seed=2)
+        rows = np.flatnonzero(fa.fold_sizes[fa.fold_of] == 10)  # the nine folds of 10
         with mock.patch.object(distance_module, "distance_matrix",
                                wraps=distance_module.distance_matrix) as dist, \
              mock.patch.object(distance_module, "sort_rows",
                                wraps=distance_module.sort_rows) as sort:
-            m = build_sorted_matrix(ds, fa)
+            m = build_sorted_matrix(ds, fa, rows=rows)
         assert dist.call_count == 1 and sort.call_count == 1
-        assert sorted(set(m.valid_len.tolist())) == [90, 91]  # rows of two lengths
+        assert np.unique(fa.fold_of[m.rows]).size == 9 and m.distances.shape == (90, 91)
 
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
     def test_brute_force_equivalence(self, metric):
         rng = np.random.default_rng(101)
         for _ in range(5):
             ds, fa = random_instance(rng, n_range=(10, 50), d_range=(1, 3))
-            m = build_sorted_matrix(ds, fa, metric)
             ref = brute_masked_rows(ds, fa, metric)
-            for r in range(ds.n):
-                d, lab, src = m.row(r)
+            for r, d, lab, src in sorted_rows(ds, fa, metric):
                 ref_d = [e[0] for e in ref[r]]
                 np.testing.assert_allclose(d, ref_d, rtol=1e-12, atol=1e-12)
                 # order may differ from the reference only among exact ties
@@ -197,10 +198,8 @@ class TestBuildSortedMatrix:
         rng = np.random.default_rng(55)
         for _ in range(5):
             ds, fa = random_instance(rng, n_range=(10, 60))
-            m = build_sorted_matrix(ds, fa)
             stored = {}
-            for r in range(ds.n):
-                d, _, src = m.row(r)
+            for r, d, _, src in sorted_rows(ds, fa):
                 assert np.all(fa.fold_of[src] != fa.fold_of[r])
                 assert np.all(np.diff(d) >= 0)
                 assert d.size == ds.n - fa.fold_sizes[fa.fold_of[r]]
@@ -212,8 +211,8 @@ class TestBuildSortedMatrix:
     def test_deterministic_rebuild(self):
         ds = generate_synthetic(40, 3, 3, 1.0, seed=8)
         fa = stratified_folds(ds, 5, seed=8)
-        a = build_sorted_matrix(ds, fa)
-        b = build_sorted_matrix(ds, fa)
+        a = build_sorted_matrix(ds, fa, rows=np.arange(40))  # five folds of 8 rows
+        b = build_sorted_matrix(ds, fa, rows=np.arange(40))
         np.testing.assert_array_equal(a.distances, b.distances)
         np.testing.assert_array_equal(a.sources, b.sources)
 
@@ -263,12 +262,13 @@ class TestThreadedRowChunks:
         ds = Dataset(features=np.round(ds.features), labels=ds.labels, s=ds.s,
                      class_names=ds.class_names)
         fa = stratified_folds(ds, ds.n, seed=4)
+        rows = np.arange(ds.n)
         with counted_pool() as pool:
-            threaded = build_sorted_matrix(ds, fa, "manhattan")
+            threaded = build_sorted_matrix(ds, fa, "manhattan", rows=rows)
         assert pool.call_count == 2
         with workers(1):
-            serial = build_sorted_matrix(ds, fa, "manhattan")
-        for name in ("distances", "labels", "sources", "valid_len"):
+            serial = build_sorted_matrix(ds, fa, "manhattan", rows=rows)
+        for name in ("distances", "labels", "sources"):
             np.testing.assert_array_equal(getattr(threaded, name), getattr(serial, name))
 
     def test_stress_more_workers_than_cores(self):

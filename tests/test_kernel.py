@@ -1,4 +1,4 @@
-"""The blocked sweep against the whole-matrix sweep and the brute-force oracle.
+"""The blocked sweep against the brute-force oracle.
 
 The cases aim where a blocked kernel can go wrong: tied distances (integer
 features), every metric and tie policy, leave-one-out and skewed folds, many
@@ -57,8 +57,8 @@ def make_instance(n, d, s, integer, fold_kind, f, seed):
        f=st.integers(2, 8), metric=st.sampled_from(METRICS),
        policy=st.sampled_from(TIE_POLICIES), tight_budget=st.booleans(),
        block_rows=st.sampled_from([None, 1, 2, 3, 5]), seed=st.integers(0, 2**32 - 1))
-def test_equals_stored_sweep_and_oracle(n, d, s, integer, fold_kind, f, metric, policy,
-                                        tight_budget, block_rows, seed):
+def test_equals_oracle(n, d, s, integer, fold_kind, f, metric, policy, tight_budget,
+                       block_rows, seed):
     s = min(s, n)
     ds, fa = make_instance(n, d, s, integer, fold_kind, f, seed)
     # a tight budget forces 1-row blocks; a small block cap gives blocks of
@@ -69,8 +69,6 @@ def test_equals_stored_sweep_and_oracle(n, d, s, integer, fold_kind, f, metric, 
     with mock.patch.object(sweep_module, "BLOCK_BYTES", cap):
         acc, _ = blocked_sweep(ds, fa, metric, policy, memory_budget=budget)
 
-    stored = sweep(build_sorted_matrix(ds, fa, metric), fa, ds.labels, policy)
-    np.testing.assert_array_equal(acc.correct, stored.correct)
     cache = FoldDistanceCache(ds, fa, metric)
     for k in range(1, fa.k_max + 1):
         np.testing.assert_array_equal(
@@ -112,13 +110,11 @@ def test_traced_peak_within_budget(n, d, s, f, metric, policy, scale):
     budget = min_budget(ds, fa, metric, policy) * scale
     tracemalloc.start()
     try:
-        acc, seconds = blocked_sweep(ds, fa, metric, policy, memory_budget=budget)
+        blocked_sweep(ds, fa, metric, policy, memory_budget=budget)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= budget
-    stored = sweep(build_sorted_matrix(ds, fa, metric), fa, ds.labels, policy)
-    np.testing.assert_array_equal(acc.correct, stored.correct)
 
 
 def test_budget_refused_only_below_one_row(toy):
@@ -167,18 +163,20 @@ def test_sort_rows_equals_stable_argsort(rows, cols, levels, with_inf, seed):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(3, 30), f=st.integers(2, 9), integer=st.booleans(),
        metric=st.sampled_from(METRICS), data=st.data())
-def test_block_rows_equal_whole_matrix_rows(n, f, integer, metric, data):
-    # unequal fold sizes give blocks of several row lengths, which are padded
+def test_block_rows_equal_single_row_builds(n, f, integer, metric, data):
+    # a block spanning folds takes all n columns and drops each row's own
+    # fold after the sort; a one-row block takes its fold's complement only
     ds, fa = make_instance(n, 2, 2, integer, "stratified", f, seed=n * f)
-    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-    whole = build_sorted_matrix(ds, fa, metric)
+    size = data.draw(st.sampled_from(sorted(set(fa.fold_sizes.tolist()))))
+    same_size = np.flatnonzero(fa.fold_sizes[fa.fold_of] == size).tolist()
+    rows = data.draw(st.lists(st.sampled_from(same_size), min_size=1, unique=True))
     block = build_sorted_matrix(ds, fa, metric, rows=rows)
     assert block.n == len(rows) and block.rows.tolist() == rows
+    assert block.valid_len.tolist() == [n - size] * len(rows)
     for j, r in enumerate(rows):
-        for got, want in zip(block.row(j), whole.row(r)):
-            np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(block.valid_len, whole.valid_len[rows])
-    assert (block.labels[block.sources < 0] == -1).all()
+        one = build_sorted_matrix(ds, fa, metric, rows=[r])
+        for name in ("distances", "labels", "sources"):
+            np.testing.assert_array_equal(getattr(block, name)[j], getattr(one, name)[0])
 
 
 def test_block_tallies_add_up(toy):
@@ -201,4 +199,9 @@ def test_block_inputs_checked(toy):
     other = FoldAssignment(fold_of=np.array([0, 0, 0, 1]), f=2)  # other row lengths
     with pytest.raises(InconsistentInputs):
         sweep(block, other, ds.labels)
+    with pytest.raises(InconsistentInputs):  # rows of folds of 3 and 1 rows
+        build_sorted_matrix(ds, other, rows=[0, 3])
+    interleaved = build_sorted_matrix(ds, fa, rows=[0, 1, 2, 3])  # folds 0, 1, 0, 1
+    with pytest.raises(InconsistentInputs):
+        sweep(interleaved, fa, ds.labels)
     assert sum(b.size for b in row_blocks(ds, fa)) == ds.n

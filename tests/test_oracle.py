@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
+from knnsweep.cli import blocked_sweep
 from knnsweep.dataset import generate_synthetic, stratified_folds
-from knnsweep.distance import build_sorted_matrix
 from knnsweep.errors import DimensionMismatch, KTooLarge
 from knnsweep.oracle import (
     FoldDistanceCache,
@@ -13,7 +13,7 @@ from knnsweep.oracle import (
     logarithmic_schedule,
     naive_search,
 )
-from knnsweep.sweep import select_k, sweep
+from knnsweep.sweep import select_k
 
 
 class TestKnnClassify:
@@ -53,7 +53,7 @@ class TestCrossValidate:
         ds, fa = toy
         counts = cross_validate(ds, fa, k=1)
         assert counts.tolist() == [1, 2]
-        acc = sweep(build_sorted_matrix(ds, fa), fa, ds.labels)
+        acc, _ = blocked_sweep(ds, fa)
         assert counts.tolist() == acc.correct[0].tolist()
 
     def test_separable_data_all_correct(self):
@@ -120,8 +120,7 @@ class TestNaiveSearch:
     def test_full_schedule_matches_sweep_report(self, toy):
         ds, fa = toy
         naive = naive_search(ds, fa, full_schedule(fa.k_max))
-        m = build_sorted_matrix(ds, fa)
-        fast = select_k(sweep(m, fa, ds.labels))
+        fast = select_k(blocked_sweep(ds, fa)[0])
         assert naive.curve == fast.curve
         assert naive.best_k_per_fold == fast.best_k_per_fold
         assert naive.k_star == fast.k_star
@@ -146,9 +145,8 @@ class TestOracleEquivalenceSmall:
         for _ in range(8):
             ds, fa = random_instance(rng, n_range=(10, 60))
             cache = FoldDistanceCache(ds, fa, "euclidean")
-            m = build_sorted_matrix(ds, fa)
             for policy in ("smallest_code", "shadow_min"):
-                acc = sweep(m, fa, ds.labels, policy)
+                acc, _ = blocked_sweep(ds, fa, "euclidean", policy)
                 for k in range(1, fa.k_max + 1):
                     naive = cross_validate(ds, fa, k, policy=policy, cache=cache)
                     np.testing.assert_array_equal(naive, acc.correct[k - 1])

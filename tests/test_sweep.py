@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_instance
+from knnsweep.cli import blocked_sweep
 from knnsweep.dataset import FoldAssignment, generate_synthetic, stratified_folds
 from knnsweep.distance import SortedDistanceMatrix, build_sorted_matrix
 from knnsweep.errors import EmptyNeighborhood, InconsistentInputs, IoError
@@ -12,6 +14,7 @@ from knnsweep.sweep import (
     AccuracyMatrix,
     accuracy_curve_export,
     classify_at_k,
+    row_blocks,
     select_k,
     sweep,
 )
@@ -24,8 +27,7 @@ def make_matrix(distances, labels, sources, f, fold_sizes_max):
     n = distances.shape[0]
     return SortedDistanceMatrix(
         distances=distances, labels=labels, sources=sources,
-        valid_len=np.full(n, distances.shape[1]),
-        k_max=n - fold_sizes_max, n=n, f=f, build_seconds={})
+        k_max=n - fold_sizes_max, n=n, f=f, build_seconds={}, rows=np.arange(n))
 
 
 class TestClassifyAtK:
@@ -67,16 +69,16 @@ class TestSweep:
     def test_toy_golden(self, toy):
         # values confirmed against the brute-force oracle (see test_oracle)
         ds, fa = toy
-        acc = sweep(build_sorted_matrix(ds, fa), fa, ds.labels)
+        acc, _ = blocked_sweep(ds, fa)
         assert acc.correct.tolist() == [[1, 2], [1, 1]]
 
     def test_single_label_everywhere(self):
         # hand-built matrix whose neighbors all carry label 0
         m = make_matrix(distances=[[1.0, 2.0]] * 4,
                         labels=[[0, 0]] * 4,
-                        sources=[[1, 3], [0, 2], [3, 1], [2, 0]],
+                        sources=[[2, 3], [2, 3], [0, 1], [0, 1]],
                         f=2, fold_sizes_max=2)
-        fa = FoldAssignment(fold_of=np.array([0, 1, 0, 1]), f=2)
+        fa = FoldAssignment(fold_of=np.array([0, 0, 1, 1]), f=2)
         acc = sweep(m, fa, truth=np.zeros(4, dtype=int))
         for k in range(m.k_max):
             assert acc.correct[k].tolist() == fa.fold_sizes.tolist()
@@ -84,26 +86,29 @@ class TestSweep:
     def test_two_rows_two_folds(self):
         ds = generate_synthetic(2, 1, 2, 0.5, seed=0)
         fa = stratified_folds(ds, 2, seed=0)
-        m = build_sorted_matrix(ds, fa)
+        m = build_sorted_matrix(ds, fa, rows=[0, 1])
         assert m.k_max == 1
         acc = sweep(m, fa, ds.labels)
         assert acc.correct.shape == (1, 2)
         # prediction is the sole cross-fold neighbor's label
-        expected = [int(m.row(r)[1][0] == ds.labels[r]) for r in range(2)]
+        expected = [int(m.labels[r, 0] == ds.labels[r]) for r in range(2)]
         assert acc.correct.sum() == sum(expected)
 
     def test_prefix_property(self):
         rng = np.random.default_rng(17)
         ds, fa = random_instance(rng, n_range=(20, 60))
-        m = build_sorted_matrix(ds, fa)
-        full = sweep(m, fa, ds.labels)
-        shorter = dataclasses.replace(m, k_max=m.k_max // 2)
-        part = sweep(shorter, fa, ds.labels)
-        np.testing.assert_array_equal(full.correct[: shorter.k_max], part.correct)
+        half = fa.k_max // 2
+        full = np.zeros((fa.k_max, fa.f), dtype=np.int64)
+        part = np.zeros((half, fa.f), dtype=np.int64)
+        for rows in row_blocks(ds, fa):
+            m = build_sorted_matrix(ds, fa, rows=rows)
+            sweep(m, fa, ds.labels, correct=full)
+            sweep(dataclasses.replace(m, k_max=half), fa, ds.labels, correct=part)
+        np.testing.assert_array_equal(full[:half], part)
 
     def test_inconsistent_inputs(self, toy):
         ds, fa = toy
-        m = build_sorted_matrix(ds, fa)
+        m = build_sorted_matrix(ds, fa, rows=[0, 2])
         with pytest.raises(InconsistentInputs):
             sweep(m, fa, ds.labels[:3])
 
@@ -142,6 +147,20 @@ class TestSelectK:
                      "std_accuracy": float(np.std(per_fold[k - 1]))}
                     for k in range(1, k_max + 1)]
         assert select_k(acc).curve == expected
+
+    def test_peak_below_one_and_a_half_tallies(self):
+        # argmax over k (axis 0) copies the whole tally, and per_fold is a
+        # float copy of it: the two must not be held at once
+        rng = np.random.default_rng(3)
+        correct = rng.integers(0, 5, size=(599, 600))
+        acc = AccuracyMatrix(correct=correct, fold_sizes=np.full(600, 4), k_max=599, f=600)
+        tracemalloc.start()
+        try:
+            select_k(acc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * correct.nbytes
 
     def test_argmax_tie_prefers_smallest_k(self):
         correct = np.array([[1], [2], [1], [1], [1], [1], [2]])
