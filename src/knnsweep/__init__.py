@@ -14,7 +14,6 @@ from .distance import (
     METRICS,
     SortedDistanceMatrix,
     build_sorted_matrix,
-    estimate_footprint,
     pairwise_distance,
 )
 from .oracle import (
@@ -40,7 +39,7 @@ from .sweep import (
 __all__ = [
     "Dataset", "FoldAssignment", "load_csv", "stratified_folds", "generate_synthetic",
     "METRICS", "DEFAULT_MEMORY_BUDGET", "SortedDistanceMatrix", "pairwise_distance",
-    "build_sorted_matrix", "estimate_footprint",
+    "build_sorted_matrix",
     "TIE_POLICIES", "AccuracyMatrix", "KSearchReport", "classify_at_k", "sweep",
     "row_blocks", "select_k", "accuracy_curve_export",
     "KSchedule", "knn_classify", "cross_validate", "logarithmic_schedule",

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .dataset import generate_synthetic, load_csv, stratified_folds
 from .distance import DEFAULT_MEMORY_BUDGET, METRICS, build_sorted_matrix
-from .errors import BadParams, IoError, KnnSweepError, ValidationError
+from .errors import BadParams, IoError, KnnSweepError, MemoryBudgetExceeded, ValidationError
 from .oracle import full_schedule, logarithmic_schedule, naive_search
 from .sweep import TIE_POLICIES, accuracy_curve_export, row_blocks, select_k, sweep
 
@@ -45,6 +45,10 @@ def _load_data(args):
         return load_csv(args.input, args.label_col)
     if args.synthetic:
         n, d, s, spread = _parse_synthetic(args.synthetic)
+        # row_blocks' charge for the features: refuse before numpy fails to allocate them
+        required = 16 * n * d + 64 * n
+        if min(n, d) > 0 and required > args.memory_budget:
+            raise MemoryBudgetExceeded(required, args.memory_budget)
         return generate_synthetic(n, d, s, spread, args.seed)
     raise ValidationError("one of --input or --synthetic is required")
 
@@ -62,7 +66,9 @@ def blocked_sweep(dataset, folds, metric="euclidean", policy="smallest_code",
     """
     t_start = time.perf_counter()
     seconds = {"distance": 0.0, "sort": 0.0, "sweep": 0.0}
-    correct = np.zeros((folds.k_max, folds.f), dtype=np.int64)
+    # narrowest signed type that counts the largest fold (int8 for LOOCV)
+    tally_type = np.min_scalar_type(-int(folds.fold_sizes.max()) - 1)
+    correct = np.zeros((folds.k_max, folds.f), dtype=tally_type)
     for rows in row_blocks(dataset, folds, memory_budget):
         block = build_sorted_matrix(dataset, folds, metric, memory_budget, rows=rows)
         t0 = time.perf_counter()

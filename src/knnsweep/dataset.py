@@ -75,25 +75,19 @@ class Dataset:
 class FoldAssignment:
     """Per-row fold index in 0..f-1, stratified by class.
 
-    fold_sizes defaults to the count of each fold index; fold indices
-    outside 0..f-1, or fold_sizes that disagree with those counts, raise
-    InconsistentFolds.
+    fold_sizes is derived: the count of each fold index. Fold indices
+    outside 0..f-1 raise InconsistentFolds.
     """
 
     fold_of: np.ndarray
     f: int
-    fold_sizes: np.ndarray = field(default=None)
+    fold_sizes: np.ndarray = field(init=False)
 
     def __post_init__(self):
         fold_of = self.fold_of
         if fold_of.size and (fold_of.min() < 0 or fold_of.max() >= self.f):
             raise InconsistentFolds(f"fold indices must lie in 0..{self.f - 1}")
-        sizes = np.bincount(fold_of, minlength=self.f)
-        if self.fold_sizes is None:
-            object.__setattr__(self, "fold_sizes", sizes)
-        elif not np.array_equal(self.fold_sizes, sizes):
-            raise InconsistentFolds(
-                f"fold_sizes {list(self.fold_sizes)} disagree with fold_of counts {list(sizes)}")
+        object.__setattr__(self, "fold_sizes", np.bincount(fold_of, minlength=self.f))
         if np.any(self.fold_sizes == 0):
             raise BadFoldCount("every fold must be non-empty")
         self.fold_of.setflags(write=False)
@@ -169,14 +163,10 @@ def load_csv(path, label_column):
     if len(rows) < 2:
         raise EmptyDataset(f"{path}: need at least 2 data rows, got {len(rows)}")
 
-    class_names = []
-    code_of = {}
-    codes = np.empty(len(raw_labels), dtype=np.int64)
-    for i, name in enumerate(raw_labels):
-        if name not in code_of:
-            code_of[name] = len(class_names)
-            class_names.append(name)
-        codes[i] = code_of[name]
+    code_of = {}  # label -> code, in order of first appearance
+    codes = np.array([code_of.setdefault(name, len(code_of)) for name in raw_labels],
+                     dtype=np.int64)
+    class_names = list(code_of)
     if len(class_names) < 2:
         raise SingleClass(f"{path}: only one distinct label {class_names[0]!r}")
 
@@ -231,12 +221,9 @@ def generate_synthetic(n, d, s, spread, seed):
     base = max(2, math.ceil(s ** (1.0 / d)))
     while base ** d < s:
         base += 1
-    centers = np.zeros((s, d), dtype=np.float64)
-    for c in range(s):
-        v = c
-        for j in range(d):
-            centers[c, j] = v % base
-            v //= base
+    # Python ints: a numpy base ** j overflows int64 at large d
+    centers = np.array([[c // base ** j % base for j in range(d)] for c in range(s)],
+                       dtype=np.float64)
 
     labels = np.arange(n, dtype=np.int64) % s
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .distance import check_metric, distance_matrix
 from .errors import DimensionMismatch, KTooLarge
-from .sweep import KSearchReport, AccuracyMatrix, check_policy, classify_at_k, select_k
+from .sweep import AccuracyMatrix, check_policy, classify_at_k, select_k
 
 
 @dataclass(frozen=True)
@@ -123,14 +123,14 @@ def cross_validate(dataset, folds, k, metric="euclidean",
 
 
 def naive_search(dataset, folds, schedule, metric="euclidean",
-                 policy="smallest_code", cache=None):
+                 policy="smallest_code"):
     """Run cross_validate over a whole schedule and assemble a report.
 
     Best-k selection follows the same rules as the sweep's select_k,
     restricted to the scheduled k values.
     """
     t0 = time.perf_counter()
-    rows = [cross_validate(dataset, folds, k, metric, policy, cache=cache)
+    rows = [cross_validate(dataset, folds, k, metric, policy)
             for k in schedule.values]
     elapsed = time.perf_counter() - t0
 

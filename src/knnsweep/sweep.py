@@ -10,7 +10,7 @@ the lists of all rows never have to exist at once.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,9 +25,10 @@ from .errors import (
 
 TIE_POLICIES = ("smallest_code", "shadow_min")
 
-# Cap on one row block's estimated working set, in bytes. Each
-# block pays a Python-level loop over k, so larger blocks run faster but
-# raise peak memory; past this size the gain is within run-to-run noise.
+# Cap on one row block's estimated working set, in bytes. Each block pays a
+# Python-level loop over k, so larger blocks vote faster at large n (at
+# n=16000, 96 -> 384 MiB took 19.0 -> 14.5 s) but raise peak RSS, whose
+# growth perfbench bounds at 10 %.
 BLOCK_BYTES = 96 << 20
 # Upper bound, per block row, of the bytes a block holds per depth while it
 # votes (votes, shadow distances, hits and the per-fold sums). The estimate
@@ -90,14 +91,7 @@ class KSearchReport:
     timing: dict = field(default_factory=dict)
 
     def to_json(self, indent=2):
-        payload = {
-            "best_k_per_fold": self.best_k_per_fold,
-            "k_star": self.k_star,
-            "curve": self.curve,
-            "evaluated_k": self.evaluated_k,
-            "timing": self.timing,
-        }
-        return json.dumps(payload, indent=indent)
+        return json.dumps(asdict(self), indent=indent)
 
 
 def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
@@ -107,7 +101,8 @@ def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
     k_max = n - max fold size guarantees every row has a k-th neighbor.
     The rows of one fold must be contiguous in the block (as in every block
     of row_blocks), else InconsistentInputs. Hits are added per fold into
-    `correct`, a (k_max, f) int64 tally (a new zeroed one by default):
+    `correct`, a (k_max, f) integer tally that holds the largest fold (a
+    new zeroed int64 one by default), else InconsistentInputs:
     sweeping every block of row_blocks into one tally gives the whole
     accuracy matrix with one block's neighbour lists in memory at a time.
     Returns a read-only AccuracyMatrix view of the tally.
@@ -131,6 +126,9 @@ def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
         correct = np.zeros((k_max, folds.f), dtype=np.int64)
     elif correct.shape != (k_max, folds.f):
         raise InconsistentInputs(f"tally shape {correct.shape} is not {(k_max, folds.f)}")
+    elif not (np.issubdtype(correct.dtype, np.integer)
+              and np.iinfo(correct.dtype).max >= folds.fold_sizes.max()):
+        raise InconsistentInputs(f"a {correct.dtype} tally cannot count {folds.fold_sizes.max()} rows")
 
     labels = matrix.labels[:, :k_max]
     s = int(max(truth.max(), labels.max())) + 1
@@ -190,12 +188,8 @@ def _row_blocks(folds, rows_per_block):
                 yield group[lo:lo + span]
         else:
             pieces = -(-fs // rows_per_block(folds.n - fs))
-            size, extra = divmod(fs, pieces)  # the first `extra` pieces get a row more
-            for start in range(0, group.size, fs):
-                for piece in range(pieces):
-                    stop = start + size + (piece < extra)
-                    yield group[start:stop]
-                    start = stop
+            for fold_rows in np.split(group, group.size // fs):
+                yield from np.array_split(fold_rows, pieces)
 
 
 def _accumulate(correct, votes, dists, truth, block_folds, s, policy):
@@ -255,7 +249,7 @@ def _accumulate(correct, votes, dists, truth, block_folds, s, policy):
         hits = lead == truth
     del lead
     starts = np.flatnonzero(np.r_[True, block_folds[1:] != block_folds[:-1]])
-    correct[:, block_folds[starts]] += np.add.reduceat(hits, starts, axis=1, dtype=np.int64)
+    correct[:, block_folds[starts]] += np.add.reduceat(hits, starts, axis=1, dtype=correct.dtype)
 
 
 def select_k(acc, evaluated_k=None, timing=None):

@@ -15,7 +15,7 @@ import pytest
 from conftest import random_instance, sorted_rows
 from knnsweep.cli import blocked_sweep
 from knnsweep.cli import main as cli_main
-from knnsweep.dataset import Dataset, FoldAssignment, generate_synthetic, stratified_folds
+from knnsweep.dataset import Dataset, generate_synthetic, stratified_folds
 from knnsweep.oracle import (
     FoldDistanceCache,
     cross_validate,

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -66,6 +67,12 @@ class TestOptimize:
         code = run(["optimize", "--input", str(toy_csv), "--folds", "2",
                     "--memory-budget", "8"])
         assert code == 11  # MemoryBudgetExceeded
+
+    def test_synthetic_over_budget_exits_before_generating(self, capsys):
+        t0 = time.perf_counter()
+        assert run(["optimize", "--synthetic", "10000000000,4,3,1.0"]) == 11  # MemoryBudgetExceeded
+        assert time.perf_counter() - t0 < 1.0
+        assert "budget" in capsys.readouterr().err
 
     def test_infinite_synthetic_spread_exit_code(self, capsys):
         assert run(["optimize", "--synthetic", "20,2,2,inf", "--folds", "2"]) == 9  # BadParams

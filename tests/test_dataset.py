@@ -140,10 +140,10 @@ class TestFoldAssignment:
             FoldAssignment(fold_of=np.array([0, 1, -1, 0]), f=2)
 
     def test_fold_sizes_must_match_fold_of(self):
-        with pytest.raises(InconsistentFolds):
-            FoldAssignment(fold_of=np.array([0, 1, 0, 1]), f=2, fold_sizes=np.array([3, 1]))
-        fa = FoldAssignment(fold_of=np.array([0, 1, 0, 0]), f=2, fold_sizes=np.array([3, 1]))
-        assert fa.k_max == 1
+        with pytest.raises(TypeError):  # derived from fold_of, never passed
+            FoldAssignment(fold_of=np.array([0, 1, 0, 1]), f=2, fold_sizes=np.array([2, 2]))
+        fa = FoldAssignment(fold_of=np.array([0, 1, 0, 0]), f=2)
+        assert fa.fold_sizes.tolist() == [3, 1] and fa.k_max == 1
 
 
 class TestStratifiedFolds:
@@ -228,6 +228,21 @@ class TestGenerateSynthetic:
         for spread in (float("inf"), float("nan")):
             with pytest.raises(BadParams):
                 generate_synthetic(10, 1, 2, spread, seed=0)
+
+    @pytest.mark.parametrize("d,s", [(1, 17), (3, 27), (2, 40), (6, 64), (512, 2)])
+    def test_centres_are_lattice_digits(self, d, s):
+        # one row per class, almost no noise: row c sits on the base-`base`
+        # digits of c (at d=512, wide_d's width, base ** j overflows int64)
+        ds = generate_synthetic(s, d, s, 1e-9, seed=0)
+        base = 2
+        while base ** d < s:
+            base += 1
+        expected = np.zeros((s, d))
+        for c in range(s):
+            v = c
+            for j in range(d):
+                expected[c, j], v = v % base, v // base
+        np.testing.assert_allclose(ds.features, expected, atol=1e-6)
 
     def test_deterministic(self):
         a = generate_synthetic(30, 2, 3, 0.3, seed=42)

@@ -90,6 +90,10 @@ def test_blocks_one_row_and_spanning():
     fa = FoldAssignment(fold_of=np.array([0] * 9 + [1]), f=2)
     assert [b.tolist() for b in _row_blocks(fa, lambda m: 7)] == [
         [9], [0, 1, 2, 3, 4], [5, 6, 7, 8]]
+    # two interleaved folds of 5 rows: each is split on its own, 3 + 2
+    fa = FoldAssignment(fold_of=np.arange(10) % 2, f=2)
+    assert [b.tolist() for b in _row_blocks(fa, lambda m: 3)] == [
+        [0, 2, 4], [6, 8], [1, 3, 5], [7, 9]]
 
 
 @pytest.mark.parametrize("n,d,s,f,metric,policy", [
@@ -186,6 +190,26 @@ def test_block_tallies_add_up(toy):
         acc = sweep(build_sorted_matrix(ds, fa, rows=rows), fa, ds.labels, correct=correct)
     assert acc.correct.tolist() == [[1, 2], [1, 1]]
     assert not acc.correct.flags.writeable and correct.flags.writeable
+
+
+def test_tally_is_narrowest_type_that_counts_a_fold():
+    ds = generate_synthetic(40, 2, 4, 0.5, seed=3)
+    acc, _ = blocked_sweep(ds, stratified_folds(ds, ds.n, seed=3))  # LOOCV
+    assert acc.correct.dtype == np.int8
+    # two folds of 128 rows in two far-apart classes: every row is right at
+    # k=1, and 128 would wrap to -128 in an int8 tally
+    features = np.r_[np.arange(128.0), 1000.0 + np.arange(128.0)][:, None]
+    ds = Dataset(features=features, labels=np.repeat([0, 1], 128), s=2,
+                 class_names=["a", "b"])
+    fa = FoldAssignment(fold_of=np.arange(256) % 2, f=2)
+    acc, _ = blocked_sweep(ds, fa)
+    assert acc.correct.dtype == np.int16
+    assert acc.correct[0].tolist() == [128, 128]
+    block = build_sorted_matrix(ds, fa, rows=np.flatnonzero(fa.fold_of == 0))
+    for tally in (np.zeros((fa.k_max, fa.f), dtype=np.int8),
+                  np.zeros((fa.k_max, fa.f), dtype=np.float64)):
+        with pytest.raises(InconsistentInputs):
+            sweep(block, fa, ds.labels, correct=tally)
 
 
 def test_block_inputs_checked(toy):

@@ -131,6 +131,11 @@ class TestNaiveSearch:
         b = naive_search(ds, fa, logarithmic_schedule(fa.k_max))
         assert a.curve == b.curve and a.k_star == b.k_star
 
+    def test_no_cache_argument(self, toy):
+        ds, fa = toy
+        with pytest.raises(TypeError):
+            naive_search(ds, fa, full_schedule(fa.k_max), cache=None)
+
     def test_singleton_schedule(self):
         ds = generate_synthetic(20, 2, 2, 1.0, seed=12)
         fa = stratified_folds(ds, 4, seed=12)
