@@ -9,13 +9,7 @@ included for verification and benchmarking.
 __version__ = "0.1.0"
 
 from .dataset import Dataset, FoldAssignment, generate_synthetic, load_csv, stratified_folds
-from .distance import (
-    DEFAULT_MEMORY_BUDGET,
-    METRICS,
-    SortedDistanceMatrix,
-    build_sorted_matrix,
-    pairwise_distance,
-)
+from .distance import METRICS, SortedDistanceMatrix, build_sorted_matrix, pairwise_distance
 from .oracle import (
     FoldDistanceCache,
     KSchedule,
@@ -25,23 +19,15 @@ from .oracle import (
     logarithmic_schedule,
     naive_search,
 )
-from .sweep import (
-    TIE_POLICIES,
-    AccuracyMatrix,
-    KSearchReport,
-    accuracy_curve_export,
-    classify_at_k,
-    row_blocks,
-    select_k,
-    sweep,
-)
+from .sweep import (DEFAULT_MEMORY_BUDGET, TIE_POLICIES, AccuracyMatrix, KSearchReport,
+                    accuracy_curve_export, classify_at_k, row_blocks, select_k, sweep, tally_type)
 
 __all__ = [
     "Dataset", "FoldAssignment", "load_csv", "stratified_folds", "generate_synthetic",
     "METRICS", "DEFAULT_MEMORY_BUDGET", "SortedDistanceMatrix", "pairwise_distance",
     "build_sorted_matrix",
     "TIE_POLICIES", "AccuracyMatrix", "KSearchReport", "classify_at_k", "sweep",
-    "row_blocks", "select_k", "accuracy_curve_export",
+    "row_blocks", "tally_type", "select_k", "accuracy_curve_export",
     "KSchedule", "knn_classify", "cross_validate", "logarithmic_schedule",
     "full_schedule", "naive_search", "FoldDistanceCache",
 ]

@@ -17,10 +17,11 @@ import numpy as np
 
 from . import __version__
 from .dataset import generate_synthetic, load_csv, stratified_folds
-from .distance import DEFAULT_MEMORY_BUDGET, METRICS, build_sorted_matrix
+from .distance import METRICS, build_sorted_matrix
 from .errors import BadParams, IoError, KnnSweepError, MemoryBudgetExceeded, ValidationError
 from .oracle import full_schedule, logarithmic_schedule, naive_search
-from .sweep import TIE_POLICIES, accuracy_curve_export, row_blocks, select_k, sweep
+from .sweep import (DEFAULT_MEMORY_BUDGET, TIE_POLICIES, accuracy_curve_export, dataset_bytes,
+                    row_blocks, select_k, sweep, tally_type)
 
 MODES = ("sweep", "naive-full", "naive-log")
 CURVE_FOLD_COUNTS = (3, 5, 10, 20)
@@ -46,7 +47,7 @@ def _load_data(args):
     if args.synthetic:
         n, d, s, spread = _parse_synthetic(args.synthetic)
         # row_blocks' charge for the features: refuse before numpy fails to allocate them
-        required = 16 * n * d + 64 * n
+        required = dataset_bytes(n, d)
         if min(n, d) > 0 and required > args.memory_budget:
             raise MemoryBudgetExceeded(required, args.memory_budget)
         return generate_synthetic(n, d, s, spread, args.seed)
@@ -66,11 +67,9 @@ def blocked_sweep(dataset, folds, metric="euclidean", policy="smallest_code",
     """
     t_start = time.perf_counter()
     seconds = {"distance": 0.0, "sort": 0.0, "sweep": 0.0}
-    # narrowest signed type that counts the largest fold (int8 for LOOCV)
-    tally_type = np.min_scalar_type(-int(folds.fold_sizes.max()) - 1)
-    correct = np.zeros((folds.k_max, folds.f), dtype=tally_type)
+    correct = np.zeros((folds.k_max, folds.f), dtype=tally_type(folds))
     for rows in row_blocks(dataset, folds, memory_budget):
-        block = build_sorted_matrix(dataset, folds, metric, memory_budget, rows=rows)
+        block = build_sorted_matrix(dataset, folds, metric, rows=rows)
         t0 = time.perf_counter()
         acc = sweep(block, folds, dataset.labels, policy, correct=correct)
         seconds["sweep"] += time.perf_counter() - t0

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import (
-    DimensionMismatch,
-    InconsistentFolds,
-    InconsistentInputs,
-    MemoryBudgetExceeded,
-)
+from .errors import DimensionMismatch, InconsistentFolds, InconsistentInputs
 
 METRICS = ("euclidean", "manhattan", "chebyshev")
 
@@ -31,12 +26,8 @@ ENTRY_BYTES = 16
 # (distances, two sort orders and the sorted distances; tied rows add a
 # re-sorted copy)
 SORT_CELL_BYTES = 40
-# small allocations outside the arrays a budget sizes (a build traces 6-11 KiB)
-FIXED_BYTES = 1 << 16
 ROW_OVERHEAD = 16
 BASE_OVERHEAD = 256
-
-DEFAULT_MEMORY_BUDGET = 4 << 30  # 4 GiB
 
 # Work, in element operations, below which a call runs on the calling thread:
 # cdist does rows·cols·d, a sort about rows·cols·log2(cols). A pool costs
@@ -192,8 +183,7 @@ class SortedDistanceMatrix:
         return np.full(self.n, self.distances.shape[1])
 
 
-def build_sorted_matrix(dataset, folds, metric="euclidean",
-                        memory_budget=DEFAULT_MEMORY_BUDGET, *, rows):
+def build_sorted_matrix(dataset, folds, metric="euclidean", *, rows):
     """Sort the cross-fold neighbours of `rows` ascending.
 
     The rows must share one fold size (every block of sweep.row_blocks
@@ -204,9 +194,8 @@ def build_sorted_matrix(dataset, folds, metric="euclidean",
     that fold's complement; rows of several folds take all n columns, and
     after the sort each row drops its own fold's entries (a filter keeps the
     sorted order). Records wall-clock of the distance and sort phases in
-    build_seconds. Raises MemoryBudgetExceeded when the working memory
-    (SORT_CELL_BYTES per distance cell, the gathered feature rows and
-    columns, FIXED_BYTES) exceeds memory_budget.
+    build_seconds. The build holds up to SORT_CELL_BYTES per distance cell;
+    sweep.row_blocks sizes the rows to fit a memory budget.
     """
     check_metric(metric)
     n = dataset.n
@@ -225,10 +214,6 @@ def build_sorted_matrix(dataset, folds, metric="euclidean",
     one_fold = bool((row_folds == row_folds[0]).all())
     # ascending columns: ties by column == ties by source index
     cols = np.flatnonzero(fold_of != row_folds[0]) if one_fold else np.arange(n)
-    required = (rows.size * (cols.size * SORT_CELL_BYTES + ROW_OVERHEAD)
-                + 8 * dataset.d * (rows.size + cols.size) + FIXED_BYTES)
-    if required > memory_budget:
-        raise MemoryBudgetExceeded(required, memory_budget)
 
     t0 = time.perf_counter()
     dist = distance_matrix(dataset.features[rows], dataset.features[cols], metric)

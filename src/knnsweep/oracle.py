@@ -95,7 +95,8 @@ def _predict(labels_sorted, dists_sorted, k, s, policy):
     idx = np.arange(q)[:, None]
     # column-ascending accumulation matches the sweep's addition order
     np.add.at(counts, (idx, labels_sorted[:, :k]), 1)
-    np.add.at(shadow, (idx, labels_sorted[:, :k]), dists_sorted[:, :k])
+    with np.errstate(over="ignore"):  # sums of huge distances overflow to inf
+        np.add.at(shadow, (idx, labels_sorted[:, :k]), dists_sorted[:, :k])
     return classify_at_k(counts, shadow, policy)
 
 

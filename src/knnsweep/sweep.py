@@ -10,11 +10,11 @@ the lists of all rows never have to exist at once.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import DEFAULT_MEMORY_BUDGET, FIXED_BYTES, SORT_CELL_BYTES
+from .distance import SORT_CELL_BYTES
 from .errors import (
     EmptyNeighborhood,
     InconsistentFolds,
@@ -24,6 +24,17 @@ from .errors import (
 )
 
 TIE_POLICIES = ("smallest_code", "shadow_min")
+
+DEFAULT_MEMORY_BUDGET = 4 << 30  # 4 GiB
+# small allocations outside the arrays a budget sizes: a build traces 6-11
+# KiB, and select_k's in-place broadcast ops hold one numpy ufunc buffer of
+# up to 64 KiB once the last block is freed
+FIXED_BYTES = 1 << 16
+# Per k, the Python objects select_k builds: a curve point (a dict, an int
+# and two floats) and the list slots and floats around it. Beyond the tally
+# and its float64 copy, tracemalloc measured 290-320 bytes per k at k_max =
+# 999 to 5999 (numpy 2.4, Python 3.11).
+CURVE_POINT_BYTES = 512
 
 # Cap on one row block's estimated working set, in bytes. Each block pays a
 # Python-level loop over k, so larger blocks vote faster at large n (at
@@ -61,7 +72,9 @@ def classify_at_k(counts, shadow, policy="smallest_code"):
         pred = np.argmax(counts, axis=-1)
     else:
         tied = counts == counts.max(axis=-1, keepdims=True)
-        pred = np.argmin(np.where(tied, np.asarray(shadow, dtype=np.float64), np.inf), axis=-1)
+        shadow = np.where(tied, np.asarray(shadow, dtype=np.float64), np.inf)
+        # not argmin: if the tied sums overflowed to inf, it would pick class 0
+        pred = np.argmax(tied & (shadow == shadow.min(axis=-1, keepdims=True)), axis=-1)
     return int(pred) if pred.ndim == 0 else pred
 
 
@@ -79,7 +92,10 @@ class AccuracyMatrix:
 
     def per_fold_accuracy(self):
         """(k_max, f) accuracies using actual fold sizes as denominators."""
-        return self.correct / self.fold_sizes[None, :].astype(np.float64)
+        # cast first: a mixed-type divide holds two cast buffers (128 KiB)
+        per_fold = self.correct.astype(np.float64)
+        per_fold /= self.fold_sizes.astype(np.float64)
+        return per_fold
 
 
 @dataclass(frozen=True)
@@ -91,7 +107,7 @@ class KSearchReport:
     timing: dict = field(default_factory=dict)
 
     def to_json(self, indent=2):
-        return json.dumps(asdict(self), indent=indent)
+        return json.dumps(vars(self), indent=indent)
 
 
 def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
@@ -102,7 +118,7 @@ def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
     The rows of one fold must be contiguous in the block (as in every block
     of row_blocks), else InconsistentInputs. Hits are added per fold into
     `correct`, a (k_max, f) integer tally that holds the largest fold (a
-    new zeroed int64 one by default), else InconsistentInputs:
+    new zeroed one of tally_type by default), else InconsistentInputs:
     sweeping every block of row_blocks into one tally gives the whole
     accuracy matrix with one block's neighbour lists in memory at a time.
     Returns a read-only AccuracyMatrix view of the tally.
@@ -123,7 +139,7 @@ def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
     if k_max < 1:
         raise InconsistentInputs("k_max < 1: some fold covers all but 0 rows")
     if correct is None:
-        correct = np.zeros((k_max, folds.f), dtype=np.int64)
+        correct = np.zeros((k_max, folds.f), dtype=tally_type(folds))
     elif correct.shape != (k_max, folds.f):
         raise InconsistentInputs(f"tally shape {correct.shape} is not {(k_max, folds.f)}")
     elif not (np.issubdtype(correct.dtype, np.integer)
@@ -134,19 +150,31 @@ def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
     s = int(max(truth.max(), labels.max())) + 1
     votes = np.ascontiguousarray(labels.T, dtype=np.int64)
     dists = matrix.distances[:, :k_max].T.copy() if policy == "shadow_min" else None
-    _accumulate(correct, votes, dists, truth[rows], row_folds, s, policy)
+    with np.errstate(over="ignore"):  # shadow sums may overflow to inf, as the oracle's do
+        _accumulate(correct, votes, dists, truth[rows], row_folds, s, policy)
     return AccuracyMatrix(correct=correct.view(), fold_sizes=folds.fold_sizes.copy(),
                           k_max=k_max, f=folds.f)
+
+
+def tally_type(folds):
+    """Narrowest signed integer type that counts the largest fold (int8 for LOOCV)."""
+    return np.min_scalar_type(-int(folds.fold_sizes.max()) - 1)
+
+
+def dataset_bytes(n, d):
+    """Charge for the features and labels and their copies around the run."""
+    return 16 * n * d + 64 * n
 
 
 def row_blocks(dataset, folds, memory_budget=DEFAULT_MEMORY_BUDGET):
     """Iterator of row index blocks for a blocked sweep, each sized to fit memory_budget.
 
-    The budget bounds an estimate of the (k_max, f) tally, copies of the
-    features and one block's build and sweep (see _row_bytes); a block is
-    further capped at BLOCK_BYTES. Blocks follow _row_blocks, so each one
-    holds rows of one fold size. Raises MemoryBudgetExceeded only when one
-    row does not fit.
+    The only place a run's memory is priced. The budget bounds the tally
+    (tally_type), select_k's float64 copy of it and its curve, copies of
+    the features (dataset_bytes) and one block's build and sweep (see
+    _row_bytes); a block is further capped at BLOCK_BYTES. Blocks follow
+    _row_blocks, so each one holds rows of one fold size. Raises
+    MemoryBudgetExceeded only when one row does not fit.
     """
     n, d, s = dataset.n, dataset.d, dataset.s
     if folds.n != n:
@@ -155,7 +183,8 @@ def row_blocks(dataset, folds, memory_budget=DEFAULT_MEMORY_BUDGET):
     if k_max < 1:
         raise InconsistentInputs("k_max < 1: some fold covers all but 0 rows")
 
-    fixed = 8 * k_max * folds.f + 16 * n * d + 64 * n + FIXED_BYTES
+    fixed = ((tally_type(folds).itemsize + 8) * k_max * folds.f + CURVE_POINT_BYTES * k_max
+             + dataset_bytes(n, d) + FIXED_BYTES)
     required = fixed + _row_bytes(n - int(folds.fold_sizes.min()), k_max, d, s)
     if required > memory_budget:
         raise MemoryBudgetExceeded(required, memory_budget)

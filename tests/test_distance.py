@@ -11,7 +11,6 @@ import pytest
 from knnsweep.dataset import Dataset, FoldAssignment, generate_synthetic, stratified_folds
 from knnsweep.distance import (
     ENTRY_BYTES,
-    FIXED_BYTES,
     METRICS,
     PARALLEL_WORK,
     SORT_CELL_BYTES,
@@ -21,7 +20,8 @@ from knnsweep.distance import (
     pairwise_distance,
     sort_rows,
 )
-from knnsweep.errors import DimensionMismatch, InconsistentFolds, MemoryBudgetExceeded
+from knnsweep.errors import DimensionMismatch, InconsistentFolds
+from knnsweep.sweep import FIXED_BYTES
 from conftest import random_instance, sorted_rows
 
 distance_module = importlib.import_module("knnsweep.distance")
@@ -114,26 +114,11 @@ class TestBuildSortedMatrix:
         with pytest.raises(InconsistentFolds):
             build_sorted_matrix(ds, fa, rows=[0])
 
-    def test_memory_budget(self, toy):
+    def test_takes_no_memory_budget(self, toy):
+        # sweep.row_blocks is the one place that prices memory
         ds, fa = toy
-        with pytest.raises(MemoryBudgetExceeded) as exc:
-            build_sorted_matrix(ds, fa, memory_budget=10, rows=np.arange(4))
-        assert exc.value.required > exc.value.budget == 10
-
-    def test_memory_budget_counts_sort_temporaries(self, toy):
-        # 4 rows of 2 stored entries fit in 4 * (2 * ENTRY_BYTES + 16) + 256
-        # bytes, but each row's sort holds SORT_CELL_BYTES for each of its 4
-        # distance columns (the rows span both folds), the 4 gathered rows
-        # and 4 gathered columns of 1 feature take 8 bytes each, and
-        # FIXED_BYTES covers the small allocations
-        ds, fa = toy
-        stored = 4 * (2 * ENTRY_BYTES + 16) + 256
-        rows = np.arange(4)
-        with pytest.raises(MemoryBudgetExceeded) as exc:
-            build_sorted_matrix(ds, fa, memory_budget=stored, rows=rows)
-        assert exc.value.required == (4 * (4 * SORT_CELL_BYTES + 16) + 8 * 1 * (4 + 4)
-                                      + FIXED_BYTES)
-        build_sorted_matrix(ds, fa, memory_budget=exc.value.required, rows=rows)
+        with pytest.raises(TypeError):
+            build_sorted_matrix(ds, fa, memory_budget=4 << 30, rows=np.arange(4))
 
     @pytest.mark.parametrize("n, d, integer, f", [
         (1000, 3, False, 5),
@@ -158,12 +143,15 @@ class TestBuildSortedMatrix:
         row_size = fa.fold_sizes[fa.fold_of]
         for size in np.unique(row_size):
             rows = np.flatnonzero(row_size == size)
-            with pytest.raises(MemoryBudgetExceeded) as exc:
-                build_sorted_matrix(ds, fa, memory_budget=1, rows=rows)
-            required = exc.value.required
+            # a block of one fold takes that fold's complement as columns,
+            # a block spanning folds all n; per row SORT_CELL_BYTES a column
+            # and 16 bytes, the gathered feature rows and columns, FIXED_BYTES
+            cols = n - size if np.unique(fa.fold_of[rows]).size == 1 else n
+            required = (rows.size * (SORT_CELL_BYTES * cols + 16) + 8 * d * (rows.size + cols)
+                        + FIXED_BYTES)
             tracemalloc.start()
             try:
-                build_sorted_matrix(ds, fa, memory_budget=required, rows=rows)
+                build_sorted_matrix(ds, fa, rows=rows)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

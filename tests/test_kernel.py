@@ -8,6 +8,7 @@ that span folds.
 
 import importlib
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,8 @@ from knnsweep.dataset import Dataset, FoldAssignment, generate_synthetic, strati
 from knnsweep.distance import METRICS, build_sorted_matrix, sort_rows
 from knnsweep.errors import InconsistentFolds, InconsistentInputs, MemoryBudgetExceeded
 from knnsweep.oracle import FoldDistanceCache, cross_validate
-from knnsweep.sweep import TIE_POLICIES, _row_blocks, _row_bytes, row_blocks, sweep
+from knnsweep.sweep import (TIE_POLICIES, _row_blocks, _row_bytes, row_blocks, select_k, sweep,
+                            tally_type)
 
 sweep_module = importlib.import_module("knnsweep.sweep")
 
@@ -69,10 +71,30 @@ def test_equals_oracle(n, d, s, integer, fold_kind, f, metric, policy, tight_bud
     with mock.patch.object(sweep_module, "BLOCK_BYTES", cap):
         acc, _ = blocked_sweep(ds, fa, metric, policy, memory_budget=budget)
 
+    assert_equals_oracle(acc, ds, fa, metric, policy)
+
+
+def assert_equals_oracle(acc, ds, fa, metric, policy):
     cache = FoldDistanceCache(ds, fa, metric)
     for k in range(1, fa.k_max + 1):
         np.testing.assert_array_equal(
             acc.correct[k - 1], cross_validate(ds, fa, k, metric, policy, cache=cache))
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("policy", TIE_POLICIES)
+def test_equals_oracle_when_distance_sums_overflow(metric, policy):
+    # finite features near the float64 limit: distances and their per-class
+    # sums overflow to inf, and tied inf sums go to the smallest tied code
+    rng = np.random.default_rng(0)
+    features = np.clip(rng.normal(size=(60, 4)), -1.7, 1.7) * 1e307
+    ds = Dataset(features=features, labels=rng.permutation(np.arange(60) % 2), s=2,
+                 class_names=["a", "b"])
+    fa = stratified_folds(ds, 4, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        acc, _ = blocked_sweep(ds, fa, metric, policy)
+        assert_equals_oracle(acc, ds, fa, metric, policy)
 
 
 def test_blocks_one_row_and_spanning():
@@ -100,12 +122,16 @@ def test_blocks_one_row_and_spanning():
     (300, 3, 3, 5, "euclidean", "smallest_code"),
     (200, 40, 2, 10, "manhattan", "smallest_code"),
     (150, 3, 20, 150, "chebyshev", "shadow_min"),
+    # LOOCV below numpy's 8192-element ufunc buffer size, where a mixed-type
+    # divide in select_k held cast buffers of 16 bytes a tally cell
+    (91, 3, 3, 91, "euclidean", "smallest_code"),
     # at scale 4 one block of every row: its cdist and sort pass
     # PARALLEL_WORK and run on the thread pool
     (1000, 1500, 2, 2, "euclidean", "smallest_code"),
 ])
 @pytest.mark.parametrize("scale", [1, 4])
 def test_traced_peak_within_budget(n, d, s, f, metric, policy, scale):
+    # the budget covers the whole run: the blocks, the tally and select_k
     ds = generate_synthetic(n, d, s, 1.0, seed=n)
     if s == 20:  # integer features: every row has tied distances
         ds = Dataset(features=np.round(ds.features), labels=ds.labels, s=s,
@@ -114,7 +140,7 @@ def test_traced_peak_within_budget(n, d, s, f, metric, policy, scale):
     budget = min_budget(ds, fa, metric, policy) * scale
     tracemalloc.start()
     try:
-        blocked_sweep(ds, fa, metric, policy, memory_budget=budget)
+        select_k(blocked_sweep(ds, fa, metric, policy, memory_budget=budget)[0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -203,9 +229,10 @@ def test_tally_is_narrowest_type_that_counts_a_fold():
                  class_names=["a", "b"])
     fa = FoldAssignment(fold_of=np.arange(256) % 2, f=2)
     acc, _ = blocked_sweep(ds, fa)
-    assert acc.correct.dtype == np.int16
+    assert acc.correct.dtype == tally_type(fa) == np.int16
     assert acc.correct[0].tolist() == [128, 128]
     block = build_sorted_matrix(ds, fa, rows=np.flatnonzero(fa.fold_of == 0))
+    assert sweep(block, fa, ds.labels).correct.dtype == np.int16  # the default tally
     for tally in (np.zeros((fa.k_max, fa.f), dtype=np.int8),
                   np.zeros((fa.k_max, fa.f), dtype=np.float64)):
         with pytest.raises(InconsistentInputs):

@@ -44,6 +44,11 @@ class TestClassifyAtK:
     def test_shadow_tie_falls_back_to_code(self):
         assert classify_at_k([2, 2, 1], [3.0, 3.0, 9.0], "shadow_min") == 0
 
+    def test_overflowed_shadow_tie_falls_back_to_tied_code(self):
+        # summed distances that overflowed are inf; class 0 is not tied
+        assert classify_at_k([0, 1, 1], [0.0, np.inf, np.inf], "shadow_min") == 1
+        assert classify_at_k([1, 2, 2], [np.inf, np.inf, 5.0], "shadow_min") == 2
+
     def test_empty_neighborhood(self):
         with pytest.raises(EmptyNeighborhood):
             classify_at_k([0, 0], [0.0, 0.0])
@@ -185,6 +190,7 @@ class TestSelectK:
         assert set(payload) == {"best_k_per_fold", "k_star", "curve",
                                 "evaluated_k", "timing"}
         assert payload["evaluated_k"] == [1, 2]
+        assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2)
 
 
 class TestCurveExport:
