@@ -67,7 +67,8 @@ def blocked_sweep(dataset, folds, metric="euclidean", policy="smallest_code",
     """
     t_start = time.perf_counter()
     seconds = {"distance": 0.0, "sort": 0.0, "sweep": 0.0}
-    correct = np.zeros((folds.k_max, folds.f), dtype=tally_type(folds))
+    # fold-major: each block adds one contiguous run of k_max counts per fold
+    correct = np.zeros((folds.k_max, folds.f), dtype=tally_type(folds), order="F")
     for rows in row_blocks(dataset, folds, memory_budget):
         block = build_sorted_matrix(dataset, folds, metric, rows=rows)
         t0 = time.perf_counter()

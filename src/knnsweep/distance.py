@@ -23,8 +23,8 @@ _CDIST_NAME = {"euclidean": "euclidean", "manhattan": "cityblock", "chebyshev": 
 # per stored entry: float64 distance + int32 label + int32 source index
 ENTRY_BYTES = 16
 # Upper bound, per row, of the bytes a build holds per distance column
-# (distances, two sort orders and the sorted distances; tied rows add a
-# re-sorted copy)
+# (distances, the sort keys that become the order, the sorted distances and
+# the int32 sources and labels; rows sorted again add their stable order)
 SORT_CELL_BYTES = 40
 ROW_OVERHEAD = 16
 BASE_OVERHEAD = 256
@@ -36,8 +36,8 @@ BASE_OVERHEAD = 256
 # (1.5e7; 32 ms on one thread, 17 ms on two).
 PARALLEL_WORK = 1 << 23
 # Row chunks per worker. Only `workers` chunks run at once, so their sort
-# temporaries (up to 16 B per cell of a chunk) cover at most about a quarter
-# of the rows, and a sort stays inside SORT_CELL_BYTES.
+# temporaries (a bool a cell, and rows sorted again) cover at most about a
+# quarter of the rows, and a sort stays inside SORT_CELL_BYTES.
 CHUNKS_PER_WORKER = 4
 
 
@@ -110,34 +110,39 @@ def pairwise_distance(a, b, metric="euclidean"):
 def sort_rows(d):
     """Ascending order of every row of d, equal distances by column index.
 
-    Gives the result of argsort(kind="stable") but runs the faster unstable
-    sort first; only the rows where it put an equal distance's larger column
-    first are sorted again, stably. Large calls split the rows into
-    contiguous chunks run on a thread pool; each chunk sorts, checks and
-    re-sorts its own rows and writes its slice of the two results, so no row
-    depends on the chunking. Returns (order, sorted distances).
+    Gives argsort(kind="stable") by sorting uint64 keys by value: a
+    distance's bits with its column in the low bits. Non-negative float64
+    bits order like the values (NaN after inf), and equal distances fall in
+    column order. Rows whose sorted distances decrease (two distances that
+    shared their kept bits) or end in a sign bit (a negative value or -0.0
+    sorts last) are sorted again, stably. Large calls run contiguous row
+    chunks on a thread pool, each writing its own rows of the two results,
+    so no row depends on the chunking. Returns (order, sorted distances).
     """
-    d = np.ascontiguousarray(d)
+    d = np.ascontiguousarray(d, dtype=np.float64)
     rows, cols = d.shape
+    b = max(cols - 1, 1).bit_length()
     order = np.empty(d.shape, dtype=np.intp)
     sorted_d = np.empty_like(d)
 
     def chunk(lo, hi):
-        part_d, part = d[lo:hi], order[lo:hi]
-        unstable = np.argsort(part_d, axis=1)
+        part_d, part, out = d[lo:hi], order[lo:hi], sorted_d[lo:hi]
+        key = part.view(np.uint64)
+        np.right_shift(part_d.view(np.uint64), b, out=key)
+        key <<= b
+        key |= np.arange(cols, dtype=np.uint64)
+        key.sort(axis=1)
+        key &= (1 << b) - 1  # the key buffer now holds the order
         # gather by flat index straight into sorted_d; mode="clip" (every
         # index is in range) keeps take from buffering its output
         offsets = np.arange(hi - lo)[:, None] * cols
-        unstable += offsets
-        np.take(part_d.reshape(-1), unstable, out=sorted_d[lo:hi], mode="clip")
-        np.subtract(unstable, offsets, out=part)
-        del unstable
-        wrong = sorted_d[lo:hi, 1:] == sorted_d[lo:hi, :-1]
-        wrong &= part[:, 1:] < part[:, :-1]
-        redo = np.flatnonzero(wrong.any(axis=1))
-        del wrong
+        part += offsets
+        np.take(part_d.reshape(-1), part, out=out, mode="clip")
+        part -= offsets
+        redo = np.flatnonzero((out[:, 1:] < out[:, :-1]).any(axis=1) | np.signbit(out[:, -1]))
         if redo.size:
             part[redo] = np.argsort(part_d[redo], axis=1, kind="stable")
+            out[redo] = np.take_along_axis(part_d[redo], part[redo], axis=1)
 
     _over_row_chunks(rows, d.size * cols.bit_length(), chunk)
     return order, sorted_d
@@ -191,11 +196,11 @@ def build_sorted_matrix(dataset, folds, metric="euclidean", *, rows):
     dropped entirely. Ties on distance are broken by source index ascending,
     which makes every row fully deterministic. One distance_matrix and one
     sort_rows call serve all the rows: rows of one fold take distances to
-    that fold's complement; rows of several folds take all n columns, and
-    after the sort each row drops its own fold's entries (a filter keeps the
-    sorted order). Records wall-clock of the distance and sort phases in
-    build_seconds. The build holds up to SORT_CELL_BYTES per distance cell;
-    sweep.row_blocks sizes the rows to fit a memory budget.
+    that fold's complement; rows of several folds take all n columns, with
+    their own fold's cells set to NaN, which sorts last, and keep their
+    first n - fold size entries. Records wall-clock of the distance and
+    sort phases in build_seconds. The build holds up to SORT_CELL_BYTES
+    per distance cell; sweep.row_blocks sizes the rows to fit a budget.
     """
     check_metric(metric)
     n = dataset.n
@@ -209,7 +214,7 @@ def build_sorted_matrix(dataset, folds, metric="euclidean", *, rows):
     sizes = folds.fold_sizes[row_folds]
     if np.any(sizes != sizes[0]):
         raise InconsistentInputs("rows must all lie in folds of one size")
-    shape = (rows.size, n - int(sizes[0]))
+    m = n - int(sizes[0])
 
     one_fold = bool((row_folds == row_folds[0]).all())
     # ascending columns: ties by column == ties by source index
@@ -218,16 +223,12 @@ def build_sorted_matrix(dataset, folds, metric="euclidean", *, rows):
     t0 = time.perf_counter()
     dist = distance_matrix(dataset.features[rows], dataset.features[cols], metric)
     t1 = time.perf_counter()
+    if not one_fold:  # own-fold cells sort after every distance, inf included
+        dist[fold_of == row_folds[:, None]] = np.nan
     order, distances = sort_rows(dist)
     del dist
-    if one_fold:
-        sources = cols.astype(np.int32)[order]
-    else:
-        keep = fold_of[order] != row_folds[:, None]
-        sources, distances = order[keep].astype(np.int32), distances[keep]
-        del keep
+    sources, distances = cols.astype(np.int32)[order[:, :m]], distances[:, :m]
     del order
-    sources, distances = sources.reshape(shape), distances.reshape(shape)
     t_sort = time.perf_counter() - t1
     labels = dataset.labels.astype(np.int32)[sources]
 

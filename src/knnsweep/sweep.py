@@ -32,9 +32,10 @@ DEFAULT_MEMORY_BUDGET = 4 << 30  # 4 GiB
 FIXED_BYTES = 1 << 16
 # Per k, the Python objects select_k builds: a curve point (a dict, an int
 # and two floats) and the list slots and floats around it. Beyond the tally
-# and its float64 copy, tracemalloc measured 290-320 bytes per k at k_max =
+# and its float64 chunk, tracemalloc measured 290-320 bytes per k at k_max =
 # 999 to 5999 (numpy 2.4, Python 3.11).
 CURVE_POINT_BYTES = 512
+SELECT_CHUNK_BYTES = 1 << 20  # select_k's float64 copy of some tally rows (one row at least)
 
 # Cap on one row block's estimated working set, in bytes. Each block pays a
 # Python-level loop over k, so larger blocks vote faster at large n (at
@@ -80,7 +81,7 @@ def classify_at_k(counts, shadow, policy="smallest_code"):
 
 @dataclass(frozen=True)
 class AccuracyMatrix:
-    """correct[k-1][i] = correct classifications of fold i at depth k."""
+    """correct[k-1][i] = correct classifications of fold i at depth k (any layout)."""
 
     correct: np.ndarray
     fold_sizes: np.ndarray
@@ -90,10 +91,10 @@ class AccuracyMatrix:
     def __post_init__(self):
         self.correct.setflags(write=False)
 
-    def per_fold_accuracy(self):
-        """(k_max, f) accuracies using actual fold sizes as denominators."""
+    def per_fold_accuracy(self, rows=slice(None)):
+        """C-ordered float64 accuracies of correct[rows], fold sizes as denominators."""
         # cast first: a mixed-type divide holds two cast buffers (128 KiB)
-        per_fold = self.correct.astype(np.float64)
+        per_fold = self.correct[rows].astype(np.float64, order="C")
         per_fold /= self.fold_sizes.astype(np.float64)
         return per_fold
 
@@ -117,10 +118,10 @@ def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
     k_max = n - max fold size guarantees every row has a k-th neighbor.
     The rows of one fold must be contiguous in the block (as in every block
     of row_blocks), else InconsistentInputs. Hits are added per fold into
-    `correct`, a (k_max, f) integer tally that holds the largest fold (a
-    new zeroed one of tally_type by default), else InconsistentInputs:
-    sweeping every block of row_blocks into one tally gives the whole
-    accuracy matrix with one block's neighbour lists in memory at a time.
+    `correct`, a (k_max, f) integer tally of any layout that holds the
+    largest fold (a new zeroed F-ordered one of tally_type by default),
+    else InconsistentInputs: sweeping every block of row_blocks into one
+    tally gives the whole accuracy matrix with one block's lists in memory.
     Returns a read-only AccuracyMatrix view of the tally.
     """
     check_policy(policy)
@@ -139,7 +140,7 @@ def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
     if k_max < 1:
         raise InconsistentInputs("k_max < 1: some fold covers all but 0 rows")
     if correct is None:
-        correct = np.zeros((k_max, folds.f), dtype=tally_type(folds))
+        correct = np.zeros((k_max, folds.f), dtype=tally_type(folds), order="F")
     elif correct.shape != (k_max, folds.f):
         raise InconsistentInputs(f"tally shape {correct.shape} is not {(k_max, folds.f)}")
     elif not (np.issubdtype(correct.dtype, np.integer)
@@ -170,20 +171,21 @@ def row_blocks(dataset, folds, memory_budget=DEFAULT_MEMORY_BUDGET):
     """Iterator of row index blocks for a blocked sweep, each sized to fit memory_budget.
 
     The only place a run's memory is priced. The budget bounds the tally
-    (tally_type), select_k's float64 copy of it and its curve, copies of
+    (tally_type), select_k's float64 chunk of it and its curve, copies of
     the features (dataset_bytes) and one block's build and sweep (see
     _row_bytes); a block is further capped at BLOCK_BYTES. Blocks follow
     _row_blocks, so each one holds rows of one fold size. Raises
     MemoryBudgetExceeded only when one row does not fit.
     """
-    n, d, s = dataset.n, dataset.d, dataset.s
+    n, d, s, f = dataset.n, dataset.d, dataset.s, folds.f
     if folds.n != n:
         raise InconsistentFolds(f"folds cover {folds.n} rows, dataset has {n}")
     k_max = folds.k_max
     if k_max < 1:
         raise InconsistentInputs("k_max < 1: some fold covers all but 0 rows")
 
-    fixed = ((tally_type(folds).itemsize + 8) * k_max * folds.f + CURVE_POINT_BYTES * k_max
+    chunk = min(8 * k_max * f, max(SELECT_CHUNK_BYTES, 8 * f))  # one select_k float64 chunk
+    fixed = (tally_type(folds).itemsize * k_max * f + chunk + CURVE_POINT_BYTES * k_max
              + dataset_bytes(n, d) + FIXED_BYTES)
     required = fixed + _row_bytes(n - int(folds.fold_sizes.min()), k_max, d, s)
     if required > memory_budget:
@@ -278,7 +280,8 @@ def _accumulate(correct, votes, dists, truth, block_folds, s, policy):
         hits = lead == truth
     del lead
     starts = np.flatnonzero(np.r_[True, block_folds[1:] != block_folds[:-1]])
-    correct[:, block_folds[starts]] += np.add.reduceat(hits, starts, axis=1, dtype=correct.dtype)
+    # fold-major: correct.T[i] is fold i's counts, contiguous in an F-ordered tally
+    correct.T[block_folds[starts]] += np.add.reduceat(hits.T, starts, axis=0, dtype=correct.dtype)
 
 
 def select_k(acc, evaluated_k=None, timing=None):
@@ -287,31 +290,41 @@ def select_k(acc, evaluated_k=None, timing=None):
     Per fold: the smallest k maximizing that fold's correct count. k* is the
     round-half-up mean of those, clamped to the evaluated range. The curve
     carries mean and population std of per-fold accuracies for each k.
+    evaluated_k (default 1..k_max) names every tally row, else InconsistentInputs.
     """
-    if acc.correct.size == 0:
+    correct = acc.correct
+    if correct.size == 0:
         raise ValueError("empty accuracy matrix")
-    if evaluated_k is None:
-        evaluated_k = list(range(1, acc.k_max + 1))
-    evaluated_k = list(evaluated_k)
+    evaluated_k = list(range(1, acc.k_max + 1) if evaluated_k is None else evaluated_k)
+    rows, f = correct.shape
+    if len(evaluated_k) != rows:
+        raise InconsistentInputs(f"{len(evaluated_k)} evaluated k for {rows} tally rows")
 
-    # first max = smallest k; argmax copies the whole tally to run down its
-    # columns, so it goes first and that copy is freed before per_fold exists
-    best_rows = np.argmax(acc.correct, axis=0)
-    per_fold = acc.per_fold_accuracy()  # rows follow evaluated_k order
+    # Each chunk of rows is a C-ordered float64 copy, so sums run in one
+    # order whatever the layout. The first max over k (ties keep the smaller
+    # k) is a running best per fold, as argmax copies a read-only tally whole.
+    best_rows, best = np.zeros(f, dtype=np.intp), correct[0]
+    means, stds = [], []
+    step = max(1, SELECT_CHUNK_BYTES // (8 * f))
+    for lo in range(0, rows, step):
+        part = correct[lo:lo + step]
+        count = part.max(axis=0)
+        best_rows = np.where(count > best, np.argmax(part, axis=0) + lo, best_rows)
+        best = np.maximum(best, count)
+        per_fold = acc.per_fold_accuracy(slice(lo, lo + step))
+        mean = per_fold.mean(axis=1)
+        # population std, np.std's steps done in place in per_fold
+        per_fold -= mean[:, None]
+        per_fold *= per_fold
+        means += mean.tolist()
+        stds += np.sqrt(per_fold.mean(axis=1)).tolist()
+        del per_fold  # before the next chunk exists
+
     best_k_per_fold = [int(evaluated_k[r]) for r in best_rows]
-
-    mean_best = sum(best_k_per_fold) / len(best_k_per_fold)
-    k_star = int(math.floor(mean_best + 0.5))
+    k_star = int(math.floor(sum(best_k_per_fold) / len(best_k_per_fold) + 0.5))
     k_star = max(1, min(k_star, max(evaluated_k)))
-
-    means = per_fold.mean(axis=1)
-    # population std, np.std's steps done in place in per_fold (a new
-    # array): np.std(axis=1) would hold another (k_max, f) array
-    per_fold -= means[:, None]
-    per_fold *= per_fold
-    stds = np.sqrt(per_fold.mean(axis=1))
     curve = [{"k": int(k), "mean_accuracy": mean, "std_accuracy": std}
-             for k, mean, std in zip(evaluated_k, means.tolist(), stds.tolist())]
+             for k, mean, std in zip(evaluated_k, means, stds)]
 
     return KSearchReport(best_k_per_fold=best_k_per_fold, k_star=k_star,
                          curve=curve, evaluated_k=[int(k) for k in evaluated_k],

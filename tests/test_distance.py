@@ -288,6 +288,57 @@ class TestThreadedRowChunks:
         assert pool.call_count == 1
 
 
+def assert_sorts_like_stable_argsort(d):
+    order, sorted_d = sort_rows(d)
+    expected = np.argsort(d, axis=1, kind="stable")
+    np.testing.assert_array_equal(order, expected)
+    # bit-equal: a -0.0 keeps its sign
+    assert sorted_d.tobytes() == np.take_along_axis(d, expected, axis=1).tobytes()
+
+
+def ulp_rows(rng, rows, cols):
+    """Values a few ulps apart: distinct distances share their top 64 - b bits."""
+    base = rng.uniform(0.5, 1.0, size=(rows, 1))
+    return base + rng.integers(0, 40, size=(rows, cols)) * np.spacing(base)
+
+
+class TestSortRows:
+    """sort_rows' packed keys give argsort(kind="stable") on the rows where keys collide."""
+
+    @pytest.mark.parametrize("cols", [1, 2, 300])
+    @pytest.mark.parametrize("case", ["ulps", "signed_zeros", "inf", "integer_ties"])
+    def test_equals_stable_argsort(self, case, cols):
+        rng = np.random.default_rng(cols)
+        shape = (60, cols)
+        if case == "ulps":
+            d = ulp_rows(rng, *shape)
+        elif case == "signed_zeros":  # rows of zeros only among them
+            d = rng.choice([0.0, -0.0, 0.0, 1.0], size=shape)
+            d[:10] = rng.choice([0.0, -0.0], size=(10, cols))
+        elif case == "inf":
+            d = rng.choice([0.5, 1.0, np.inf], size=shape)
+        else:
+            d = rng.integers(0, 3, size=shape).astype(np.float64)
+        assert_sorts_like_stable_argsort(d)
+
+    def test_ulp_keys_collide(self):
+        # the case above does reach the stable re-sort: 300 columns keep the
+        # top 64 - 9 bits, and values 40 ulps apart share them
+        d = ulp_rows(np.random.default_rng(300), 60, 300)
+        kept = d.view(np.uint64) >> (299).bit_length()
+        assert all(np.unique(kept[r]).size < np.unique(d[r]).size for r in range(60))
+
+    def test_above_parallel_work(self):
+        rng = np.random.default_rng(9)
+        d = ulp_rows(rng, 400, 2500)
+        d[::3] = rng.choice([0.0, -0.0, 1.0, np.inf], size=d[::3].shape)
+        d[1::3] = np.round(d[1::3] * 4)
+        assert d.size * (2500).bit_length() >= PARALLEL_WORK
+        with counted_pool() as pool:
+            assert_sorts_like_stable_argsort(d)
+        assert pool.call_count == 1
+
+
 class TestEstimateFootprint:
     def test_quadratic_growth(self):
         small = estimate_footprint(1000, 5)

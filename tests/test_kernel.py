@@ -81,16 +81,37 @@ def assert_equals_oracle(acc, ds, fa, metric, policy):
             acc.correct[k - 1], cross_validate(ds, fa, k, metric, policy, cache=cache))
 
 
+def overflow_instance():
+    """Finite features near the float64 limit: distances and their sums overflow."""
+    rng = np.random.default_rng(0)
+    features = np.clip(rng.normal(size=(60, 4)), -1.7, 1.7) * 1e307
+    return Dataset(features=features, labels=rng.permutation(np.arange(60) % 2), s=2,
+                   class_names=["a", "b"])
+
+
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("policy", TIE_POLICIES)
 def test_equals_oracle_when_distance_sums_overflow(metric, policy):
-    # finite features near the float64 limit: distances and their per-class
-    # sums overflow to inf, and tied inf sums go to the smallest tied code
-    rng = np.random.default_rng(0)
-    features = np.clip(rng.normal(size=(60, 4)), -1.7, 1.7) * 1e307
-    ds = Dataset(features=features, labels=rng.permutation(np.arange(60) % 2), s=2,
-                 class_names=["a", "b"])
+    # distances and their per-class sums overflow to inf, and tied inf sums
+    # go to the smallest tied code
+    ds = overflow_instance()
     fa = stratified_folds(ds, 4, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        acc, _ = blocked_sweep(ds, fa, metric, policy)
+        assert_equals_oracle(acc, ds, fa, metric, policy)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("policy", TIE_POLICIES)
+def test_loocv_equals_oracle_when_distance_sums_overflow(metric, policy):
+    # one block spans all 60 one-row folds: its own-fold NaN cells and the
+    # inf distances share one sort, and NaN must sort after inf
+    ds = overflow_instance()
+    fa = stratified_folds(ds, ds.n, seed=0)
+    assert [b.size for b in row_blocks(ds, fa)] == [60]
+    if metric == "euclidean":
+        assert np.isinf(build_sorted_matrix(ds, fa, metric, rows=np.arange(60)).distances).any()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         acc, _ = blocked_sweep(ds, fa, metric, policy)
@@ -128,6 +149,8 @@ def test_blocks_one_row_and_spanning():
     # at scale 4 one block of every row: its cdist and sort pass
     # PARALLEL_WORK and run on the thread pool
     (1000, 1500, 2, 2, "euclidean", "smallest_code"),
+    # LOOCV whose 2.7 MiB float copy of the tally spans three select_k chunks
+    (600, 3, 3, 600, "euclidean", "smallest_code"),
 ])
 @pytest.mark.parametrize("scale", [1, 4])
 def test_traced_peak_within_budget(n, d, s, f, metric, policy, scale):
@@ -256,3 +279,23 @@ def test_block_inputs_checked(toy):
     with pytest.raises(InconsistentInputs):
         sweep(interleaved, fa, ds.labels)
     assert sum(b.size for b in row_blocks(ds, fa)) == ds.n
+
+
+def test_tally_is_fold_major():
+    ds, fa = make_instance(30, 2, 3, True, "stratified", 3, seed=2)
+    acc, _ = blocked_sweep(ds, fa)
+    assert acc.correct.shape == (fa.k_max, 3) and acc.correct.flags.f_contiguous
+    block = build_sorted_matrix(ds, fa, rows=np.flatnonzero(fa.fold_of == 0))
+    assert sweep(block, fa, ds.labels).correct.flags.f_contiguous  # the default tally
+
+
+@pytest.mark.parametrize("fold_kind", ["stratified", "loocv", "skewed"])
+def test_tally_layout_counts_the_same(fold_kind):
+    ds, fa = make_instance(40, 2, 3, True, fold_kind, 4, seed=5)
+    acc, _ = blocked_sweep(ds, fa, memory_budget=min_budget(ds, fa) * 3)
+    for order in ("C", "F"):
+        correct = np.zeros((fa.k_max, fa.f), dtype=np.int64, order=order)
+        for rows in row_blocks(ds, fa):
+            sweep(build_sorted_matrix(ds, fa, rows=rows), fa, ds.labels, correct=correct)
+        np.testing.assert_array_equal(correct, acc.correct)
+    assert_equals_oracle(acc, ds, fa, "euclidean", "smallest_code")

@@ -167,6 +167,35 @@ class TestSelectK:
             tracemalloc.stop()
         assert peak < 1.5 * correct.nbytes
 
+    @pytest.mark.parametrize("k_max, f", [(1, 1), (5, 2), (300, 10), (100, 3000), (3, 200000)])
+    def test_c_and_f_ordered_tallies_report_the_same(self, k_max, f):
+        # at f=3000 a select_k chunk holds 43 rows, at f=200000 one row
+        rng = np.random.default_rng(k_max + f)
+        fold_sizes = rng.integers(1, 5, size=f)
+        correct = rng.integers(0, fold_sizes + 1, size=(k_max, f)).astype(np.int8)
+        reports = [
+            select_k(AccuracyMatrix(correct=layout(correct), fold_sizes=fold_sizes,
+                                    k_max=k_max, f=f))
+            for layout in (np.ascontiguousarray, np.asfortranarray)]
+        assert reports[0] == reports[1]
+        assert reports[0].best_k_per_fold == (np.argmax(correct, axis=0) + 1).tolist()
+        # an evaluated_k subset: tally rows follow the listed k
+        ks = list(range(1, 3 * k_max + 1, 3))
+        subset = [select_k(AccuracyMatrix(correct=layout(correct), fold_sizes=fold_sizes,
+                                          k_max=3 * k_max, f=f), evaluated_k=ks)
+                  for layout in (np.ascontiguousarray, np.asfortranarray)]
+        assert subset[0] == subset[1]
+        assert [p["k"] for p in subset[0].curve] == ks
+        assert [p["mean_accuracy"] for p in subset[0].curve] == [
+            p["mean_accuracy"] for p in reports[0].curve]
+
+    @pytest.mark.parametrize("evaluated_k", [[1, 2], [1, 2, 3, 4, 5], []])
+    def test_evaluated_k_must_name_every_tally_row(self, evaluated_k):
+        acc = AccuracyMatrix(correct=np.array([[1, 0], [1, 1], [0, 1]]),
+                             fold_sizes=np.array([1, 1]), k_max=3, f=2)
+        with pytest.raises(InconsistentInputs):
+            select_k(acc, evaluated_k=evaluated_k)
+
     def test_argmax_tie_prefers_smallest_k(self):
         correct = np.array([[1], [2], [1], [1], [1], [1], [2]])
         acc = AccuracyMatrix(correct=correct, fold_sizes=np.array([3]), k_max=7, f=1)
