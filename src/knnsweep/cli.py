@@ -181,6 +181,8 @@ def cmd_bench(args):
 
 def cmd_curves(args):
     dataset = _load_data(args)
+    # every fold count is checked before anything is written
+    all_folds = [stratified_folds(dataset, f, args.seed) for f in CURVE_FOLD_COUNTS]
     outdir = Path(args.output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -188,8 +190,7 @@ def cmd_curves(args):
         raise IoError(f"cannot create {outdir}: {exc}") from exc
 
     summary = ["f,time_seconds"]
-    for f in CURVE_FOLD_COUNTS:
-        folds = stratified_folds(dataset, f, args.seed)
+    for f, folds in zip(CURVE_FOLD_COUNTS, all_folds):
         report, seconds = run_mode("sweep", dataset, folds, args)
         accuracy_curve_export(report, outdir / f"curve_f{f}.csv")
         summary.append("%d,%.6f" % (f, seconds["total"]))

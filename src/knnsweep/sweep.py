@@ -37,17 +37,9 @@ FIXED_BYTES = 1 << 16
 CURVE_POINT_BYTES = 512
 SELECT_CHUNK_BYTES = 1 << 20  # select_k's float64 copy of some tally rows (one row at least)
 
-# Cap on one row block's estimated working set, in bytes. Each block pays a
-# Python-level loop over k, so larger blocks vote faster at large n (at
-# n=16000, 96 -> 384 MiB took 19.0 -> 14.5 s) but raise peak RSS, whose
-# growth perfbench bounds at 10 %.
-BLOCK_BYTES = 96 << 20
-# Upper bound, per block row, of the bytes a block holds per depth while it
-# votes (votes, shadow distances, hits and the per-fold sums). The estimate
-# adds it to the build's SORT_CELL_BYTES per column, which also covers the
-# stored lists during the vote, and tracemalloc peaks stay below it
-# (tests/test_kernel.py).
-VOTE_CELL_BYTES = 40
+# Cap on one block's charge (_row_bytes), 240 rows at n=6000: wider blocks pay
+# the per-k Python loop less often but raise peak RSS (perfbench bounds it at 10 %).
+BLOCK_BYTES = 48 << 20
 
 
 def check_policy(policy):
@@ -89,6 +81,9 @@ class AccuracyMatrix:
     f: int
 
     def __post_init__(self):
+        if self.correct.shape[1:] != (self.f,) or np.shape(self.fold_sizes) != (self.f,):
+            raise InconsistentInputs(f"tally of shape {self.correct.shape} or fold sizes of "
+                                     f"shape {np.shape(self.fold_sizes)} do not have f={self.f}")
         self.correct.setflags(write=False)
 
     def per_fold_accuracy(self, rows=slice(None)):
@@ -114,8 +109,8 @@ class KSearchReport:
 def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
     """Tally hits at every k = 1..k_max over the rows of one sorted block.
 
-    Row j's k-th nearest cross-fold neighbor is its vote at depth k;
-    k_max = n - max fold size guarantees every row has a k-th neighbor.
+    Row j's k-th nearest cross-fold neighbor is its vote at depth k; a
+    k_max beyond the stored neighbours is InconsistentInputs.
     The rows of one fold must be contiguous in the block (as in every block
     of row_blocks), else InconsistentInputs. Hits are added per fold into
     `correct`, a (k_max, f) integer tally of any layout that holds the
@@ -137,8 +132,8 @@ def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
     if np.count_nonzero(np.diff(row_folds)) + 1 != np.unique(row_folds).size:
         raise InconsistentInputs("the rows of one fold are not contiguous in the block")
     k_max = matrix.k_max
-    if k_max < 1:
-        raise InconsistentInputs("k_max < 1: some fold covers all but 0 rows")
+    if not 1 <= k_max <= matrix.distances.shape[1]:
+        raise InconsistentInputs(f"k_max={k_max} not in 1..{matrix.distances.shape[1]} neighbours")
     if correct is None:
         correct = np.zeros((k_max, folds.f), dtype=tally_type(folds), order="F")
     elif correct.shape != (k_max, folds.f):
@@ -150,9 +145,8 @@ def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
     labels = matrix.labels[:, :k_max]
     s = int(max(truth.max(), labels.max())) + 1
     votes = np.ascontiguousarray(labels.T, dtype=np.int64)
-    dists = matrix.distances[:, :k_max].T.copy() if policy == "shadow_min" else None
     with np.errstate(over="ignore"):  # shadow sums may overflow to inf, as the oracle's do
-        _accumulate(correct, votes, dists, truth[rows], row_folds, s, policy)
+        _accumulate(correct, votes, matrix.distances.T, truth[rows], row_folds, s, policy)
     return AccuracyMatrix(correct=correct.view(), fold_sizes=folds.fold_sizes.copy(),
                           k_max=k_max, f=folds.f)
 
@@ -187,18 +181,22 @@ def row_blocks(dataset, folds, memory_budget=DEFAULT_MEMORY_BUDGET):
     chunk = min(8 * k_max * f, max(SELECT_CHUNK_BYTES, 8 * f))  # one select_k float64 chunk
     fixed = (tally_type(folds).itemsize * k_max * f + chunk + CURVE_POINT_BYTES * k_max
              + dataset_bytes(n, d) + FIXED_BYTES)
-    required = fixed + _row_bytes(n - int(folds.fold_sizes.min()), k_max, d, s)
+    required = fixed + _row_bytes(n - int(folds.fold_sizes.min()), d, s)
     if required > memory_budget:
         raise MemoryBudgetExceeded(required, memory_budget)
     cap = min(BLOCK_BYTES, memory_budget - fixed)
     # the check above lets one row always fit; blocks are made as they are
     # used, as a list of n one-row blocks would outgrow the budget
-    return _row_blocks(folds, lambda m: max(1, cap // _row_bytes(m, k_max, d, s)))
+    return _row_blocks(folds, lambda m: max(1, cap // _row_bytes(m, d, s)))
 
 
-def _row_bytes(m, k_max, d, s):
-    """Upper bound of a block's build and sweep bytes per row with m columns."""
-    return SORT_CELL_BYTES * m + VOTE_CELL_BYTES * k_max + 8 * d + 32 * s + 128
+def _row_bytes(m, d, s):
+    """Upper bound of the bytes a block's build holds per row with m columns.
+
+    The vote phase (the stored lists plus votes, hits and the per-fold
+    sums, k_max <= m) fits in the same SORT_CELL_BYTES a column.
+    """
+    return SORT_CELL_BYTES * m + 8 * d + 32 * s + 128
 
 
 def _row_blocks(folds, rows_per_block):
@@ -227,9 +225,9 @@ def _accumulate(correct, votes, dists, truth, block_folds, s, policy):
     """Add one row block's hits at every depth k into correct[k-1, fold].
 
     votes[k-1, j] is the label of block row j's k-th nearest neighbour and
-    dists[k-1, j] its distance (read only under shadow_min); both are
-    (k_max, B) int64 / float64 arrays, and votes is overwritten. Rows of one
-    fold must be contiguous in the block.
+    dists[k-1, j] its distance (read only under shadow_min): a (k_max, B)
+    int64 array, overwritten with the leaders, and a float64 view of at
+    least k_max rows. Rows of one fold must be contiguous in the block.
 
     Only the incoming label's counter changes at depth k, so the leader is
     kept or replaced by that label: O(1) work per vote. Shadow sums add
@@ -242,23 +240,21 @@ def _accumulate(correct, votes, dists, truth, block_folds, s, policy):
     if policy == "smallest_code":
         # key = count * s + (s - 1 - label): the leader has the largest key
         keys = np.tile(np.arange(s - 1, -1, -1, dtype=np.int64), b)
-        lead = np.empty_like(votes)
         prev = np.zeros(b, dtype=np.int64)
         for k in range(k_max):
             idx = votes[k]
             key = keys[idx]
             key += s
             keys[idx] = key
-            prev = np.maximum(prev, key, out=lead[k])
-        lead %= s
-        hits = lead == (s - 1 - truth)
+            prev = np.maximum(prev, key, out=idx)
+        votes %= s
+        hits = votes == (s - 1 - truth)
     else:
         counts = np.zeros(b * s, dtype=np.int64)
         shadow = np.zeros(b * s, dtype=np.float64)
         top_count = np.zeros(b, dtype=np.int64)
         top_shadow = np.zeros(b, dtype=np.float64)
         leader = base.copy()
-        lead = np.empty_like(votes)
         for k in range(k_max):
             idx = votes[k]
             count = counts[idx]
@@ -275,10 +271,9 @@ def _accumulate(correct, votes, dists, truth, block_folds, s, policy):
             np.maximum(top_count, count, out=top_count)
             np.copyto(top_shadow, total, where=win)
             np.copyto(leader, idx, where=win)
-            lead[k] = leader
-        lead -= base
-        hits = lead == truth
-    del lead
+            idx[...] = leader
+        votes -= base
+        hits = votes == truth
     starts = np.flatnonzero(np.r_[True, block_folds[1:] != block_folds[:-1]])
     # fold-major: correct.T[i] is fold i's counts, contiguous in an F-ordered tally
     correct.T[block_folds[starts]] += np.add.reduceat(hits.T, starts, axis=0, dtype=correct.dtype)

@@ -190,6 +190,12 @@ class TestCurves:
         assert summary[0] == "f,time_seconds"
         assert [row.split(",")[0] for row in summary[1:]] == ["3", "5", "10", "20"]
 
+    def test_too_many_folds_writes_nothing(self, tmp_path, toy_csv):
+        # 4 rows take f=3 but not f=5: refused before the f=3 curve is written
+        outdir = tmp_path / "c3"
+        assert run(["curves", "--input", str(toy_csv), "--output-dir", str(outdir)]) == 8
+        assert not list(outdir.glob("*.csv"))
+
     def test_small_n_many_folds(self, tmp_path):
         outdir = tmp_path / "c2"
         assert run(["curves", "--synthetic", "100,1,2,0.5", "--seed", "0",

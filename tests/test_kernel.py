@@ -6,6 +6,7 @@ classes, and memory budgets small enough to force 1-row blocks and blocks
 that span folds.
 """
 
+import dataclasses
 import importlib
 import tracemalloc
 import warnings
@@ -67,7 +68,7 @@ def test_equals_oracle(n, d, s, integer, fold_kind, f, metric, policy, tight_bud
     # a few rows, which span folds and split them when folds are small
     budget = min_budget(ds, fa, metric, policy) if tight_budget else 4 << 30
     cap = (sweep_module.BLOCK_BYTES if block_rows is None
-           else block_rows * _row_bytes(n, fa.k_max, d, s))
+           else block_rows * _row_bytes(n, d, s))
     with mock.patch.object(sweep_module, "BLOCK_BYTES", cap):
         acc, _ = blocked_sweep(ds, fa, metric, policy, memory_budget=budget)
 
@@ -168,6 +169,25 @@ def test_traced_peak_within_budget(n, d, s, f, metric, policy, scale):
     finally:
         tracemalloc.stop()
     assert peak <= budget
+
+
+@pytest.mark.parametrize("policy", TIE_POLICIES)
+@pytest.mark.parametrize("f", [5, 400])
+def test_vote_footprint(policy, f):
+    # _row_bytes charges a block its build alone, which must also cover the
+    # vote: one fold's block, or one block spanning 400 one-row folds
+    ds = generate_synthetic(400, 3, 3, 1.0, seed=f)
+    fa = stratified_folds(ds, f, seed=f)
+    rows = np.flatnonzero(fa.fold_of == 0) if f < ds.n else np.arange(ds.n)
+    block = build_sorted_matrix(ds, fa, rows=rows)
+    correct = np.zeros((fa.k_max, fa.f), dtype=tally_type(fa), order="F")
+    tracemalloc.start()
+    try:
+        sweep(block, fa, ds.labels, policy, correct=correct)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= rows.size * (16 * fa.k_max + 32 * ds.s + 128)
 
 
 def test_budget_refused_only_below_one_row(toy):
@@ -275,6 +295,8 @@ def test_block_inputs_checked(toy):
         sweep(block, other, ds.labels)
     with pytest.raises(InconsistentInputs):  # rows of folds of 3 and 1 rows
         build_sorted_matrix(ds, other, rows=[0, 3])
+    with pytest.raises(InconsistentInputs):  # deeper than the stored neighbours
+        sweep(dataclasses.replace(block, k_max=block.distances.shape[1] + 1), fa, ds.labels)
     interleaved = build_sorted_matrix(ds, fa, rows=[0, 1, 2, 3])  # folds 0, 1, 0, 1
     with pytest.raises(InconsistentInputs):
         sweep(interleaved, fa, ds.labels)

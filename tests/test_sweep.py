@@ -196,6 +196,13 @@ class TestSelectK:
         with pytest.raises(InconsistentInputs):
             select_k(acc, evaluated_k=evaluated_k)
 
+    @pytest.mark.parametrize("shape, fold_sizes", [
+        ((3, 2), [1, 1, 1]), ((3, 3), [1, 1]), ((3,), [1, 1, 1]), ((3, 3), [[1, 1, 1]])])
+    def test_tally_and_fold_sizes_must_match_f(self, shape, fold_sizes):
+        with pytest.raises(InconsistentInputs):
+            AccuracyMatrix(correct=np.ones(shape, dtype=np.int64),
+                           fold_sizes=np.array(fold_sizes), k_max=3, f=3)
+
     def test_argmax_tie_prefers_smallest_k(self):
         correct = np.array([[1], [2], [1], [1], [1], [1], [2]])
         acc = AccuracyMatrix(correct=correct, fold_sizes=np.array([3]), k_max=7, f=1)
