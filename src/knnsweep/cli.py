@@ -181,8 +181,10 @@ def cmd_bench(args):
 
 def cmd_curves(args):
     dataset = _load_data(args)
-    # every fold count is checked before anything is written
+    # every fold count and its memory budget are checked before anything is written
     all_folds = [stratified_folds(dataset, f, args.seed) for f in CURVE_FOLD_COUNTS]
+    for folds in all_folds:
+        row_blocks(dataset, folds, args.memory_budget)
     outdir = Path(args.output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

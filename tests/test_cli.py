@@ -5,7 +5,10 @@ import pytest
 
 from knnsweep import cli
 from knnsweep.cli import main
+from knnsweep.dataset import generate_synthetic, stratified_folds
 from knnsweep.distance import estimate_footprint
+from knnsweep.errors import MemoryBudgetExceeded
+from knnsweep.sweep import row_blocks
 
 TOY_CSV = "x,label\n0,A\n1,A\n2,B\n10,B\n"
 
@@ -194,6 +197,20 @@ class TestCurves:
         # 4 rows take f=3 but not f=5: refused before the f=3 curve is written
         outdir = tmp_path / "c3"
         assert run(["curves", "--input", str(toy_csv), "--output-dir", str(outdir)]) == 8
+        assert not list(outdir.glob("*.csv"))
+
+    def test_over_budget_fold_count_writes_nothing(self, tmp_path):
+        # a budget that fits f=3 but not f=20 is refused before the f=3 curve is written
+        dataset = generate_synthetic(100, 2, 3, 0.8, 3)
+        need = []
+        for f in (3, 20):
+            with pytest.raises(MemoryBudgetExceeded) as info:
+                row_blocks(dataset, stratified_folds(dataset, f, 3), 0)
+            need.append(info.value.required)
+        assert need[0] < need[1]
+        outdir = tmp_path / "c4"
+        assert run(["curves", "--synthetic", "100,2,3,0.8", "--seed", "3",
+                    "--memory-budget", str(need[0]), "--output-dir", str(outdir)]) == 11
         assert not list(outdir.glob("*.csv"))
 
     def test_small_n_many_folds(self, tmp_path):
