@@ -2,12 +2,11 @@
 
 Timings wrap the core computation only (distance, sort, sweep phases and
 their total, or the naive total); file I/O and parsing sit outside every
-timed region. With --repeat N each timed phase reports the minimum over N
-runs.
+timed region. A mode runs once per call, and its report's `timing` holds
+that run's phases.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -82,30 +81,14 @@ def blocked_sweep(dataset, folds, metric="euclidean", policy="smallest_code",
 
 
 def run_mode(mode, dataset, folds, args):
-    """Run one optimization mode; returns (report, phase seconds).
-
-    Repeats the timed computation --repeat times and keeps the per-phase
-    minimum; outputs are identical across repeats by determinism.
-    """
-    best = None
-    report = None
-    for _ in range(args.repeat):
-        if mode == "sweep":
-            acc, seconds = blocked_sweep(dataset, folds, args.metric, args.tie_policy,
-                                         args.memory_budget)
-            report = select_k(acc)
-        else:
-            schedule = (full_schedule(folds.k_max) if mode == "naive-full"
-                        else logarithmic_schedule(folds.k_max))
-            report = naive_search(dataset, folds, schedule,
-                                  args.metric, args.tie_policy)
-            seconds = {"total": report.timing["naive_total"]}
-        if best is None:
-            best = seconds
-        else:
-            best = {k: min(best[k], seconds[k]) for k in best}
-    report = dataclasses.replace(report, timing=best)
-    return report, best
+    """Run one optimization mode once; returns its KSearchReport, timing included."""
+    if mode == "sweep":
+        acc, seconds = blocked_sweep(dataset, folds, args.metric, args.tie_policy,
+                                     args.memory_budget)
+        return select_k(acc, timing=seconds)
+    schedule = (full_schedule(folds.k_max) if mode == "naive-full"
+                else logarithmic_schedule(folds.k_max))
+    return naive_search(dataset, folds, schedule, args.metric, args.tie_policy)
 
 
 def _write_text(path, text):
@@ -118,7 +101,7 @@ def _write_text(path, text):
 def cmd_optimize(args):
     dataset = _load_data(args)
     folds = stratified_folds(dataset, args.folds, args.seed)
-    report, seconds = run_mode(args.mode, dataset, folds, args)
+    report = run_mode(args.mode, dataset, folds, args)
 
     payload = report.to_json()
     if args.output:
@@ -129,7 +112,7 @@ def cmd_optimize(args):
         accuracy_curve_export(report, args.curve)
 
     print(f"k* = {report.k_star}")
-    for phase, t in seconds.items():
+    for phase, t in report.timing.items():
         print(f"  {phase}: {t:.4f}s")
     return 0
 
@@ -150,9 +133,9 @@ def cmd_bench(args):
     results = {}
     reports = {}
     for mode in modes:
-        report, seconds = run_mode(mode, dataset, folds, args)
+        report = run_mode(mode, dataset, folds, args)
         reports[mode] = report
-        results[mode] = {"seconds": seconds, "k_star": report.k_star}
+        results[mode] = {"seconds": report.timing, "k_star": report.k_star}
 
     # agreement gate: a disagreement is a bug, not a benchmark result
     if "sweep" in reports and "naive-full" in reports:
@@ -193,9 +176,9 @@ def cmd_curves(args):
 
     summary = ["f,time_seconds"]
     for f, folds in zip(CURVE_FOLD_COUNTS, all_folds):
-        report, seconds = run_mode("sweep", dataset, folds, args)
+        report = run_mode("sweep", dataset, folds, args)
         accuracy_curve_export(report, outdir / f"curve_f{f}.csv")
-        summary.append("%d,%.6f" % (f, seconds["total"]))
+        summary.append("%d,%.6f" % (f, report.timing["total"]))
     _write_text(outdir / "summary.csv", "\n".join(summary) + "\n")
     return 0
 
@@ -222,8 +205,6 @@ def build_parser():
                        help="bound on the sweep's working memory in bytes; row blocks "
                             "shrink to fit, and the run is refused only when one "
                             "row does not fit")
-        p.add_argument("--repeat", type=int, default=1,
-                       help="repeat timed phases N times, report the minimum")
 
     p_opt = sub.add_parser("optimize", help="run one mode and write a k-search report")
     add_common(p_opt)
@@ -252,8 +233,6 @@ def check_args(args):
     """Reject option values argparse accepts but the run cannot use."""
     if args.seed < 0:
         raise BadParams(f"--seed must be >= 0, got {args.seed}")
-    if args.repeat < 1:
-        raise BadParams(f"--repeat must be >= 1, got {args.repeat}")
 
 
 def main(argv=None):

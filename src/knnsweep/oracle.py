@@ -13,20 +13,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import check_metric, distance_matrix
-from .errors import DimensionMismatch, KTooLarge
+from .errors import BadParams, DimensionMismatch, KTooLarge
 from .sweep import AccuracyMatrix, check_policy, classify_at_k, select_k
 
 
 @dataclass(frozen=True)
 class KSchedule:
-    """Ascending distinct k values to evaluate."""
+    """Ascending distinct k values to evaluate, at least one, all >= 1."""
 
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(self.values)
-        if list(vals) != sorted(set(vals)):
-            raise ValueError("schedule must be strictly ascending and distinct")
+        vals = list(self.values)
+        if not vals or vals[0] < 1 or vals != sorted(set(vals)):
+            raise BadParams("a schedule must be non-empty, strictly ascending k >= 1")
 
 
 def full_schedule(k_max):
@@ -35,8 +35,6 @@ def full_schedule(k_max):
 
 def logarithmic_schedule(k_max):
     """Sparse k set: 1..8, 10, every multiple of 100, plus k_max itself."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
     vals = set(range(1, 9)) | {10} | set(range(100, k_max + 1, 100)) | {k_max}
     vals = sorted(v for v in vals if 1 <= v <= k_max)
     return KSchedule(values=tuple(vals))
@@ -51,6 +49,8 @@ def knn_classify(train_features, train_labels, query, k,
     train_labels = np.asarray(train_labels)
     query = np.atleast_1d(np.asarray(query, dtype=np.float64))
     m = train_features.shape[0]
+    if k < 1:
+        raise BadParams(f"k must be >= 1, got {k}")
     if k > m:
         raise KTooLarge(f"k={k} exceeds {m} training rows")
     if query.shape[0] != train_features.shape[1]:
@@ -109,6 +109,8 @@ def cross_validate(dataset, folds, k, metric="euclidean",
     """
     check_metric(metric)
     check_policy(policy)
+    if k < 1:
+        raise BadParams(f"k must be >= 1, got {k}")
     if k > folds.k_max:
         raise KTooLarge(f"k={k} exceeds k_max={folds.k_max}")
 
@@ -137,5 +139,4 @@ def naive_search(dataset, folds, schedule, metric="euclidean",
 
     acc = AccuracyMatrix(correct=np.vstack(rows), fold_sizes=folds.fold_sizes.copy(),
                          k_max=folds.k_max, f=folds.f)
-    return select_k(acc, evaluated_k=schedule.values,
-                    timing={"naive_total": elapsed})
+    return select_k(acc, evaluated_k=schedule.values, timing={"total": elapsed})

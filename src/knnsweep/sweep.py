@@ -81,9 +81,11 @@ class AccuracyMatrix:
     f: int
 
     def __post_init__(self):
-        if self.correct.shape[1:] != (self.f,) or np.shape(self.fold_sizes) != (self.f,):
-            raise InconsistentInputs(f"tally of shape {self.correct.shape} or fold sizes of "
-                                     f"shape {np.shape(self.fold_sizes)} do not have f={self.f}")
+        if (self.f < 1 or self.correct.shape[1:] != (self.f,) or len(self.correct) < 1
+                or np.shape(self.fold_sizes) != (self.f,)):
+            raise InconsistentInputs(f"tally of shape {self.correct.shape} or fold sizes of shape "
+                                     f"{np.shape(self.fold_sizes)} do not have k >= 1 rows "
+                                     f"and f={self.f} >= 1 folds")
         self.correct.setflags(write=False)
 
     def per_fold_accuracy(self, rows=slice(None)):
@@ -288,8 +290,6 @@ def select_k(acc, evaluated_k=None, timing=None):
     evaluated_k (default 1..k_max) names every tally row, else InconsistentInputs.
     """
     correct = acc.correct
-    if correct.size == 0:
-        raise ValueError("empty accuracy matrix")
     evaluated_k = list(range(1, acc.k_max + 1) if evaluated_k is None else evaluated_k)
     rows, f = correct.shape
     if len(evaluated_k) != rows:

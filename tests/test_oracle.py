@@ -4,9 +4,10 @@ import pytest
 from conftest import random_instance
 from knnsweep.cli import blocked_sweep
 from knnsweep.dataset import generate_synthetic, stratified_folds
-from knnsweep.errors import DimensionMismatch, KTooLarge
+from knnsweep.errors import BadParams, DimensionMismatch, KTooLarge
 from knnsweep.oracle import (
     FoldDistanceCache,
+    KSchedule,
     cross_validate,
     full_schedule,
     knn_classify,
@@ -33,6 +34,12 @@ class TestKnnClassify:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             knn_classify(self.train_x, self.train_y, [2.0, 3.0], k=1)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        # [:, :-1] would keep all but one neighbour
+        with pytest.raises(BadParams):
+            knn_classify(self.train_x, self.train_y, [2.0], k=k)
 
     def test_distance_tie_prefers_lower_index(self):
         x = np.array([[0.0], [2.0]])
@@ -73,6 +80,14 @@ class TestCrossValidate:
         ds, fa = toy
         with pytest.raises(KTooLarge):
             cross_validate(ds, fa, k=3)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        # at k=-1, [:, :-1] would give the counts at k_max - 1
+        ds = generate_synthetic(60, 2, 3, 1.0, 0)
+        fa = stratified_folds(ds, 5, 0)
+        with pytest.raises(BadParams):
+            cross_validate(ds, fa, k)
 
     def test_cache_changes_nothing(self):
         ds = generate_synthetic(30, 2, 3, 1.0, seed=6)
@@ -116,6 +131,18 @@ class TestLogarithmicSchedule:
             assert list(vals) == sorted(set(vals))
 
 
+class TestKSchedule:
+    @pytest.mark.parametrize("values", [(), (-1, 2), (0, 1), (2, 1), (1, 1)])
+    def test_rejected(self, values):
+        with pytest.raises(BadParams):
+            KSchedule(values=values)
+
+    @pytest.mark.parametrize("schedule", [full_schedule, logarithmic_schedule])
+    def test_k_max_below_one(self, schedule):
+        with pytest.raises(BadParams):
+            schedule(0)
+
+
 class TestNaiveSearch:
     def test_full_schedule_matches_sweep_report(self, toy):
         ds, fa = toy
@@ -141,6 +168,11 @@ class TestNaiveSearch:
         fa = stratified_folds(ds, 4, seed=12)
         report = naive_search(ds, fa, full_schedule(1))
         assert report.k_star == 1 and report.evaluated_k == [1]
+
+    def test_timing_is_the_total(self, toy):
+        ds, fa = toy
+        timing = naive_search(ds, fa, full_schedule(fa.k_max)).timing
+        assert list(timing) == ["total"] and timing["total"] > 0
 
 
 class TestOracleEquivalenceSmall:

@@ -197,11 +197,17 @@ class TestSelectK:
             select_k(acc, evaluated_k=evaluated_k)
 
     @pytest.mark.parametrize("shape, fold_sizes", [
-        ((3, 2), [1, 1, 1]), ((3, 3), [1, 1]), ((3,), [1, 1, 1]), ((3, 3), [[1, 1, 1]])])
+        ((3, 2), [1, 1, 1]), ((3, 3), [1, 1]), ((3,), [1, 1, 1]), ((3, 3), [[1, 1, 1]]),
+        ((0, 3), [1, 1, 1])])
     def test_tally_and_fold_sizes_must_match_f(self, shape, fold_sizes):
         with pytest.raises(InconsistentInputs):
             AccuracyMatrix(correct=np.ones(shape, dtype=np.int64),
                            fold_sizes=np.array(fold_sizes), k_max=3, f=3)
+
+    def test_no_folds(self):
+        with pytest.raises(InconsistentInputs):
+            AccuracyMatrix(correct=np.ones((3, 0), dtype=np.int64),
+                           fold_sizes=np.array([], dtype=np.int64), k_max=3, f=0)
 
     def test_argmax_tie_prefers_smallest_k(self):
         correct = np.array([[1], [2], [1], [1], [1], [1], [2]])
