@@ -9,7 +9,7 @@ included for verification and benchmarking.
 __version__ = "0.1.0"
 
 from .dataset import Dataset, FoldAssignment, generate_synthetic, load_csv, stratified_folds
-from .distance import METRICS, SortedDistanceMatrix, build_sorted_matrix, pairwise_distance
+from .distance import METRICS, SortedDistanceMatrix, build_sorted_matrix
 from .oracle import (
     FoldDistanceCache,
     KSchedule,
@@ -24,8 +24,7 @@ from .sweep import (DEFAULT_MEMORY_BUDGET, TIE_POLICIES, AccuracyMatrix, KSearch
 
 __all__ = [
     "Dataset", "FoldAssignment", "load_csv", "stratified_folds", "generate_synthetic",
-    "METRICS", "DEFAULT_MEMORY_BUDGET", "SortedDistanceMatrix", "pairwise_distance",
-    "build_sorted_matrix",
+    "METRICS", "DEFAULT_MEMORY_BUDGET", "SortedDistanceMatrix", "build_sorted_matrix",
     "TIE_POLICIES", "AccuracyMatrix", "KSearchReport", "classify_at_k", "sweep",
     "row_blocks", "tally_type", "select_k", "accuracy_curve_export",
     "KSchedule", "knn_classify", "cross_validate", "logarithmic_schedule",

@@ -75,8 +75,9 @@ class Dataset:
 class FoldAssignment:
     """Per-row fold index in 0..f-1, stratified by class.
 
-    fold_sizes is derived: the count of each fold index. Fold indices
-    outside 0..f-1 raise InconsistentFolds.
+    fold_sizes is derived: the count of each fold index. f < 2 or an empty
+    fold raises BadFoldCount, fold indices outside 0..f-1 InconsistentFolds.
+    So every row has a neighbour outside its fold, and k_max >= 1.
     """
 
     fold_of: np.ndarray
@@ -84,6 +85,8 @@ class FoldAssignment:
     fold_sizes: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if self.f < 2:
+            raise BadFoldCount(f"fold count must be >= 2, got {self.f}")
         fold_of = self.fold_of
         if fold_of.size and (fold_of.min() < 0 or fold_of.max() >= self.f):
             raise InconsistentFolds(f"fold indices must lie in 0..{self.f - 1}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DimensionMismatch, InconsistentFolds, InconsistentInputs
+from .errors import BadParams, DimensionMismatch, InconsistentFolds, InconsistentInputs
 
 METRICS = ("euclidean", "manhattan", "chebyshev")
 
@@ -43,7 +43,7 @@ CHUNKS_PER_WORKER = 4
 
 def check_metric(metric):
     if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
+        raise BadParams(f"unknown metric {metric!r}; choose from {METRICS}")
     return metric
 
 
@@ -96,15 +96,6 @@ def distance_matrix(a, b, metric):
 
     _over_row_chunks(a.shape[0], out.size * a.shape[1], chunk)
     return out
-
-
-def pairwise_distance(a, b, metric="euclidean"):
-    """Distance between two feature vectors under the chosen metric."""
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    return float(distance_matrix(a[None, :], b[None, :], metric)[0, 0])
 
 
 def sort_rows(d):
@@ -165,14 +156,13 @@ class SortedDistanceMatrix:
     """Per-row ascending (distance, label, source) neighbor lists.
 
     Row j holds the neighbours of dataset row rows[j]. distances/labels/
-    sources are (n, m) arrays, m = dataset size - the rows' fold size;
-    k_max = dataset size - max fold size is the depth usable by every row.
+    sources are (n, m) arrays, m = dataset size - the rows' fold size, at
+    least the folds' k_max, the depth sweep reads.
     """
 
     distances: np.ndarray
     labels: np.ndarray
     sources: np.ndarray
-    k_max: int
     n: int
     f: int
     build_seconds: dict
@@ -191,16 +181,17 @@ class SortedDistanceMatrix:
 def build_sorted_matrix(dataset, folds, metric="euclidean", *, rows):
     """Sort the cross-fold neighbours of `rows` ascending.
 
-    The rows must share one fold size (every block of sweep.row_blocks
-    does), else InconsistentInputs. Same-fold pairs and the diagonal are
-    dropped entirely. Ties on distance are broken by source index ascending,
-    which makes every row fully deterministic. One distance_matrix and one
-    sort_rows call serve all the rows: rows of one fold take distances to
-    that fold's complement; rows of several folds take all n columns, with
-    their own fold's cells set to NaN, which sorts last, and keep their
-    first n - fold size entries. Records wall-clock of the distance and
-    sort phases in build_seconds. The build holds up to SORT_CELL_BYTES
-    per distance cell; sweep.row_blocks sizes the rows to fit a budget.
+    The rows must be distinct and share one fold size (every block of
+    sweep.row_blocks does), else InconsistentInputs. Same-fold pairs and the
+    diagonal are dropped entirely. Ties on distance are broken by source
+    index ascending, which makes every row fully deterministic. One
+    distance_matrix and one sort_rows call serve all the rows: rows of one
+    fold take distances to that fold's complement; rows of several folds
+    take all n columns, with their own fold's cells set to NaN, which sorts
+    last, and keep their first n - fold size entries. Records wall-clock of
+    the distance and sort phases (the label gather included) in
+    build_seconds. The build holds up to SORT_CELL_BYTES per distance cell;
+    sweep.row_blocks sizes the rows to fit a budget.
     """
     check_metric(metric)
     n = dataset.n
@@ -208,8 +199,9 @@ def build_sorted_matrix(dataset, folds, metric="euclidean", *, rows):
         raise InconsistentFolds(f"folds cover {folds.n} rows, dataset has {n}")
     fold_of = folds.fold_of
     rows = np.array(rows, dtype=np.intp)
-    if rows.ndim != 1 or rows.size == 0 or rows.min() < 0 or rows.max() >= n:
-        raise InconsistentInputs(f"rows must be a non-empty list of indices below {n}")
+    if (rows.ndim != 1 or rows.size == 0 or rows.min() < 0 or rows.max() >= n
+            or np.unique(rows).size != rows.size):
+        raise InconsistentInputs(f"rows must be a non-empty list of distinct indices below {n}")
     row_folds = fold_of[rows]
     sizes = folds.fold_sizes[row_folds]
     if np.any(sizes != sizes[0]):
@@ -229,11 +221,10 @@ def build_sorted_matrix(dataset, folds, metric="euclidean", *, rows):
     del dist
     sources, distances = cols.astype(np.int32)[order[:, :m]], distances[:, :m]
     del order
-    t_sort = time.perf_counter() - t1
     labels = dataset.labels.astype(np.int32)[sources]
+    t_sort = time.perf_counter() - t1
 
     return SortedDistanceMatrix(
-        distances=distances, labels=labels, sources=sources,
-        k_max=folds.k_max, n=rows.size, f=folds.f,
+        distances=distances, labels=labels, sources=sources, n=rows.size, f=folds.f,
         build_seconds={"distance": t1 - t0, "sort": t_sort}, rows=rows,
     )

@@ -16,6 +16,7 @@ import numpy as np
 
 from .distance import SORT_CELL_BYTES
 from .errors import (
+    BadParams,
     EmptyNeighborhood,
     InconsistentFolds,
     InconsistentInputs,
@@ -44,7 +45,7 @@ BLOCK_BYTES = 48 << 20
 
 def check_policy(policy):
     if policy not in TIE_POLICIES:
-        raise ValueError(f"unknown tie policy {policy!r}; choose from {TIE_POLICIES}")
+        raise BadParams(f"unknown tie policy {policy!r}; choose from {TIE_POLICIES}")
     return policy
 
 
@@ -109,12 +110,12 @@ class KSearchReport:
 
 
 def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
-    """Tally hits at every k = 1..k_max over the rows of one sorted block.
+    """Tally hits at every k = 1..folds.k_max over the rows of one sorted block.
 
-    Row j's k-th nearest cross-fold neighbor is its vote at depth k; a
-    k_max beyond the stored neighbours is InconsistentInputs.
-    The rows of one fold must be contiguous in the block (as in every block
-    of row_blocks), else InconsistentInputs. Hits are added per fold into
+    Row j's k-th nearest cross-fold neighbor is its vote at depth k. Each
+    row must hold n - its fold size neighbours, at least k_max, and the
+    rows of one fold must be contiguous in the block (as in every block of
+    row_blocks), else InconsistentInputs. Hits are added per fold into
     `correct`, a (k_max, f) integer tally of any layout that holds the
     largest fold (a new zeroed F-ordered one of tally_type by default),
     else InconsistentInputs: sweeping every block of row_blocks into one
@@ -133,9 +134,7 @@ def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
         raise InconsistentInputs("matrix row lengths disagree with the folds")
     if np.count_nonzero(np.diff(row_folds)) + 1 != np.unique(row_folds).size:
         raise InconsistentInputs("the rows of one fold are not contiguous in the block")
-    k_max = matrix.k_max
-    if not 1 <= k_max <= matrix.distances.shape[1]:
-        raise InconsistentInputs(f"k_max={k_max} not in 1..{matrix.distances.shape[1]} neighbours")
+    k_max = folds.k_max
     if correct is None:
         correct = np.zeros((k_max, folds.f), dtype=tally_type(folds), order="F")
     elif correct.shape != (k_max, folds.f):
@@ -177,9 +176,6 @@ def row_blocks(dataset, folds, memory_budget=DEFAULT_MEMORY_BUDGET):
     if folds.n != n:
         raise InconsistentFolds(f"folds cover {folds.n} rows, dataset has {n}")
     k_max = folds.k_max
-    if k_max < 1:
-        raise InconsistentInputs("k_max < 1: some fold covers all but 0 rows")
-
     chunk = min(8 * k_max * f, max(SELECT_CHUNK_BYTES, 8 * f))  # one select_k float64 chunk
     fixed = (tally_type(folds).itemsize * k_max * f + chunk + CURVE_POINT_BYTES * k_max
              + dataset_bytes(n, d) + FIXED_BYTES)
@@ -254,8 +250,6 @@ def _accumulate(correct, votes, dists, truth, block_folds, s, policy):
     else:
         counts = np.zeros(b * s, dtype=np.int64)
         shadow = np.zeros(b * s, dtype=np.float64)
-        top_count = np.zeros(b, dtype=np.int64)
-        top_shadow = np.zeros(b, dtype=np.float64)
         leader = base.copy()
         for k in range(k_max):
             idx = votes[k]
@@ -266,12 +260,11 @@ def _accumulate(correct, votes, dists, truth, block_folds, s, policy):
             total += dists[k]
             shadow[idx] = total
             # enters the lead on more votes, or on equal votes with a smaller
-            # (shadow, label); only the incoming label's entries changed
-            win = (total < top_shadow) | ((total == top_shadow) & (idx < leader))
-            win &= count == top_count
-            win |= count > top_count
-            np.maximum(top_count, count, out=top_count)
-            np.copyto(top_shadow, total, where=win)
+            # (shadow, label); a leader that took this vote ties itself and stays
+            lead_count, lead_shadow = counts[leader], shadow[leader]
+            win = (total < lead_shadow) | ((total == lead_shadow) & (idx < leader))
+            win &= count == lead_count
+            win |= count > lead_count
             np.copyto(leader, idx, where=win)
             idx[...] = leader
         votes -= base

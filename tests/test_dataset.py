@@ -139,6 +139,12 @@ class TestFoldAssignment:
         with pytest.raises(InconsistentFolds):
             FoldAssignment(fold_of=np.array([0, 1, -1, 0]), f=2)
 
+    @pytest.mark.parametrize("f", [1, 0])
+    def test_fewer_than_two_folds_rejected(self, f):
+        # one fold leaves a row no neighbour outside its fold
+        with pytest.raises(BadFoldCount):
+            FoldAssignment(fold_of=np.zeros(4, dtype=np.int64), f=f)
+
     def test_fold_sizes_must_match_fold_of(self):
         with pytest.raises(TypeError):  # derived from fold_of, never passed
             FoldAssignment(fold_of=np.array([0, 1, 0, 1]), f=2, fold_sizes=np.array([2, 2]))

@@ -17,10 +17,9 @@ from knnsweep.distance import (
     build_sorted_matrix,
     distance_matrix,
     estimate_footprint,
-    pairwise_distance,
     sort_rows,
 )
-from knnsweep.errors import DimensionMismatch, InconsistentFolds
+from knnsweep.errors import BadParams, DimensionMismatch, InconsistentFolds
 from knnsweep.sweep import FIXED_BYTES
 from conftest import random_instance, sorted_rows
 
@@ -52,6 +51,11 @@ def brute_masked_rows(ds, fa, metric):
     return rows
 
 
+def pairwise_distance(a, b, metric="euclidean"):
+    """Distance between two feature vectors, through distance_matrix."""
+    return float(distance_matrix(np.atleast_2d(a), np.atleast_2d(b), metric)[0, 0])
+
+
 class TestPairwiseDistance:
     def test_one_dim(self):
         assert pairwise_distance([0.0], [3.0], "euclidean") == 3.0
@@ -77,7 +81,7 @@ class TestPairwiseDistance:
             pairwise_distance([1.0], [1.0, 2.0])
 
     def test_unknown_metric(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParams):
             pairwise_distance([0.0], [1.0], "cosine")
 
 
@@ -89,14 +93,14 @@ class TestBuildSortedMatrix:
         assert m.labels[0].tolist() == [0, 1]
         assert m.sources[0].tolist() == [1, 3]
         assert m.valid_len.shape == (4,) and m.valid_len.tolist() == [2, 2, 2, 2]
-        assert m.k_max == 2
+        assert fa.k_max == 2
 
     def test_leave_one_out(self):
         ds = generate_synthetic(8, 2, 2, 1.0, seed=1)
         fa = stratified_folds(ds, 8, seed=1)
         m = build_sorted_matrix(ds, fa, rows=np.arange(8))
         assert m.distances.shape == (8, 7)
-        assert m.k_max == 7
+        assert fa.k_max == 7
         for r in range(8):
             assert r not in m.sources[r]
 

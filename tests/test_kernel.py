@@ -6,7 +6,6 @@ classes, and memory budgets small enough to force 1-row blocks and blocks
 that span folds.
 """
 
-import dataclasses
 import importlib
 import tracemalloc
 import warnings
@@ -284,7 +283,7 @@ def test_tally_is_narrowest_type_that_counts_a_fold():
 
 def test_block_inputs_checked(toy):
     ds, fa = toy
-    for rows in ([], [4], [-1], [[0, 1]]):
+    for rows in ([], [4], [-1], [[0, 1]], [1, 1]):  # [1, 1]: a row counted twice
         with pytest.raises(InconsistentInputs):
             build_sorted_matrix(ds, fa, rows=rows)
     block = build_sorted_matrix(ds, fa, rows=[0, 1])
@@ -295,8 +294,6 @@ def test_block_inputs_checked(toy):
         sweep(block, other, ds.labels)
     with pytest.raises(InconsistentInputs):  # rows of folds of 3 and 1 rows
         build_sorted_matrix(ds, other, rows=[0, 3])
-    with pytest.raises(InconsistentInputs):  # deeper than the stored neighbours
-        sweep(dataclasses.replace(block, k_max=block.distances.shape[1] + 1), fa, ds.labels)
     interleaved = build_sorted_matrix(ds, fa, rows=[0, 1, 2, 3])  # folds 0, 1, 0, 1
     with pytest.raises(InconsistentInputs):
         sweep(interleaved, fa, ds.labels)

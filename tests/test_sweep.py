@@ -5,29 +5,27 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_instance
 from knnsweep.cli import blocked_sweep
 from knnsweep.dataset import FoldAssignment, generate_synthetic, stratified_folds
 from knnsweep.distance import SortedDistanceMatrix, build_sorted_matrix
-from knnsweep.errors import EmptyNeighborhood, InconsistentInputs, IoError
+from knnsweep.errors import BadParams, EmptyNeighborhood, InconsistentInputs, IoError
 from knnsweep.sweep import (
     AccuracyMatrix,
     accuracy_curve_export,
     classify_at_k,
-    row_blocks,
     select_k,
     sweep,
 )
 
 
-def make_matrix(distances, labels, sources, f, fold_sizes_max):
+def make_matrix(distances, labels, sources, f):
     distances = np.asarray(distances, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int32)
     sources = np.asarray(sources, dtype=np.int32)
     n = distances.shape[0]
     return SortedDistanceMatrix(
-        distances=distances, labels=labels, sources=sources,
-        k_max=n - fold_sizes_max, n=n, f=f, build_seconds={}, rows=np.arange(n))
+        distances=distances, labels=labels, sources=sources, n=n, f=f, build_seconds={},
+        rows=np.arange(n))
 
 
 class TestClassifyAtK:
@@ -54,7 +52,7 @@ class TestClassifyAtK:
             classify_at_k([0, 0], [0.0, 0.0])
 
     def test_unknown_policy(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParams):
             classify_at_k([1, 0], [0.0, 0.0], "coin_flip")
 
     def test_rows_at_once(self):
@@ -82,34 +80,22 @@ class TestSweep:
         m = make_matrix(distances=[[1.0, 2.0]] * 4,
                         labels=[[0, 0]] * 4,
                         sources=[[2, 3], [2, 3], [0, 1], [0, 1]],
-                        f=2, fold_sizes_max=2)
+                        f=2)
         fa = FoldAssignment(fold_of=np.array([0, 0, 1, 1]), f=2)
         acc = sweep(m, fa, truth=np.zeros(4, dtype=int))
-        for k in range(m.k_max):
+        for k in range(fa.k_max):
             assert acc.correct[k].tolist() == fa.fold_sizes.tolist()
 
     def test_two_rows_two_folds(self):
         ds = generate_synthetic(2, 1, 2, 0.5, seed=0)
         fa = stratified_folds(ds, 2, seed=0)
         m = build_sorted_matrix(ds, fa, rows=[0, 1])
-        assert m.k_max == 1
+        assert fa.k_max == 1
         acc = sweep(m, fa, ds.labels)
         assert acc.correct.shape == (1, 2)
         # prediction is the sole cross-fold neighbor's label
         expected = [int(m.labels[r, 0] == ds.labels[r]) for r in range(2)]
         assert acc.correct.sum() == sum(expected)
-
-    def test_prefix_property(self):
-        rng = np.random.default_rng(17)
-        ds, fa = random_instance(rng, n_range=(20, 60))
-        half = fa.k_max // 2
-        full = np.zeros((fa.k_max, fa.f), dtype=np.int64)
-        part = np.zeros((half, fa.f), dtype=np.int64)
-        for rows in row_blocks(ds, fa):
-            m = build_sorted_matrix(ds, fa, rows=rows)
-            sweep(m, fa, ds.labels, correct=full)
-            sweep(dataclasses.replace(m, k_max=half), fa, ds.labels, correct=part)
-        np.testing.assert_array_equal(full[:half], part)
 
     def test_inconsistent_inputs(self, toy):
         ds, fa = toy
