@@ -1,9 +1,11 @@
 """Command-line front end: optimize | bench | curves.
 
-Timings wrap the core computation only (distance, sort, sweep phases and
-their total, or the naive total); file I/O and parsing sit outside every
-timed region. A mode runs once per call, and its report's `timing` holds
-that run's phases.
+It parses and prints only: argparse refuses bad usage (exit 2), the library
+checks each value it uses and main returns its error's exit code, and a
+report goes to its output file or else alone on stdout. Timings wrap the
+core computation only (distance, sort, sweep phases and their total, or the
+naive total); file I/O and parsing sit outside every timed region. A mode
+runs once per call, and its report's `timing` holds that run's phases.
 """
 
 import argparse
@@ -17,7 +19,7 @@ import numpy as np
 from . import __version__
 from .dataset import generate_synthetic, load_csv, stratified_folds
 from .distance import METRICS, build_sorted_matrix
-from .errors import BadParams, IoError, KnnSweepError, MemoryBudgetExceeded, ValidationError
+from .errors import BadParams, IoError, KnnSweepError, MemoryBudgetExceeded
 from .oracle import full_schedule, logarithmic_schedule, naive_search
 from .sweep import (DEFAULT_MEMORY_BUDGET, TIE_POLICIES, accuracy_curve_export, dataset_bytes,
                     row_blocks, select_k, sweep, tally_type)
@@ -38,19 +40,24 @@ def _parse_synthetic(spec):
     return n, d, s, spread
 
 
+def _modes(spec):
+    """argparse type of --modes: two or more distinct names from MODES."""
+    modes = [m.strip() for m in spec.split(",") if m.strip()]
+    if set(modes) - set(MODES) or len(modes) < 2 or len(set(modes)) != len(modes):
+        raise argparse.ArgumentTypeError(
+            f"want two or more distinct modes from {','.join(MODES)}, got {spec!r}")
+    return modes
+
+
 def _load_data(args):
-    if args.input and args.synthetic:
-        raise ValidationError("give either --input or --synthetic, not both")
-    if args.input:
+    if args.synthetic is None:
         return load_csv(args.input, args.label_col)
-    if args.synthetic:
-        n, d, s, spread = _parse_synthetic(args.synthetic)
-        # row_blocks' charge for the features: refuse before numpy fails to allocate them
-        required = dataset_bytes(n, d)
-        if min(n, d) > 0 and required > args.memory_budget:
-            raise MemoryBudgetExceeded(required, args.memory_budget)
-        return generate_synthetic(n, d, s, spread, args.seed)
-    raise ValidationError("one of --input or --synthetic is required")
+    n, d, s, spread = _parse_synthetic(args.synthetic)
+    # row_blocks' charge for the features: refuse before numpy fails to allocate them
+    required = dataset_bytes(n, d)
+    if min(n, d) > 0 and required > args.memory_budget:
+        raise MemoryBudgetExceeded(required, args.memory_budget)
+    return generate_synthetic(n, d, s, spread, args.seed)
 
 
 def blocked_sweep(dataset, folds, metric="euclidean", policy="smallest_code",
@@ -91,9 +98,13 @@ def run_mode(mode, dataset, folds, args):
     return naive_search(dataset, folds, schedule, args.metric, args.tie_policy)
 
 
-def _write_text(path, text):
+def _emit(path, text):
+    """Write text and a newline to path; without a path, print it alone on stdout."""
+    if not path:
+        print(text)
+        return
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_text(text + "\n", encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -103,36 +114,23 @@ def cmd_optimize(args):
     folds = stratified_folds(dataset, args.folds, args.seed)
     report = run_mode(args.mode, dataset, folds, args)
 
-    payload = report.to_json()
-    if args.output:
-        _write_text(args.output, payload + "\n")
-    else:
-        print(payload)
+    _emit(args.output, report.to_json())
     if args.curve:
         accuracy_curve_export(report, args.curve)
-
-    print(f"k* = {report.k_star}")
-    for phase, t in report.timing.items():
-        print(f"  {phase}: {t:.4f}s")
+    if args.output:  # else stdout holds the report alone
+        print(f"k* = {report.k_star}")
+        for phase, t in report.timing.items():
+            print(f"  {phase}: {t:.4f}s")
     return 0
 
 
 def cmd_bench(args):
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    for m in modes:
-        if m not in MODES:
-            raise ValidationError(f"unknown mode {m!r}; choose from {MODES}")
-    if len(modes) < 2:
-        raise ValidationError("bench needs at least two modes")
-    if len(set(modes)) != len(modes):
-        raise ValidationError(f"bench modes must be distinct, got {args.modes!r}")
-
     dataset = _load_data(args)
     folds = stratified_folds(dataset, args.folds, args.seed)
 
     results = {}
     reports = {}
-    for mode in modes:
+    for mode in args.modes:
         report = run_mode(mode, dataset, folds, args)
         reports[mode] = report
         results[mode] = {"seconds": report.timing, "k_star": report.k_star}
@@ -146,19 +144,15 @@ def cmd_bench(args):
     speedups = {}
     if "sweep" in results:
         base = results["sweep"]["seconds"]["total"]
-        for mode in modes:
+        for mode in args.modes:
             if mode != "sweep":
                 speedups[f"{mode}_vs_sweep"] = results[mode]["seconds"]["total"] / base
 
-    payload = json.dumps({
+    _emit(args.output, json.dumps({
         "dataset": {"n": dataset.n, "d": dataset.d, "s": dataset.s, "f": folds.f},
         "modes": results,
         "speedups": speedups,
-    }, indent=2)
-    if args.output:
-        _write_text(args.output, payload + "\n")
-    else:
-        print(payload)
+    }, indent=2))
     return 0
 
 
@@ -179,7 +173,7 @@ def cmd_curves(args):
         report = run_mode("sweep", dataset, folds, args)
         accuracy_curve_export(report, outdir / f"curve_f{f}.csv")
         summary.append("%d,%.6f" % (f, report.timing["total"]))
-    _write_text(outdir / "summary.csv", "\n".join(summary) + "\n")
+    _emit(outdir / "summary.csv", "\n".join(summary))
     return 0
 
 
@@ -192,12 +186,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--input", help="CSV file with a header row")
-        p.add_argument("--synthetic", metavar="N,D,S,SPREAD",
-                       help="generate a Gaussian-mixture dataset instead of reading a file")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--input", help="CSV file with a header row")
+        source.add_argument("--synthetic", metavar="N,D,S,SPREAD",
+                            help="generate a Gaussian-mixture dataset instead of reading a file")
         p.add_argument("--label-col", default="label",
                        help="label column name or index (default: label)")
-        p.add_argument("--folds", type=int, default=5)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--metric", choices=METRICS, default="euclidean")
         p.add_argument("--tie-policy", choices=TIE_POLICIES, default="smallest_code")
@@ -208,6 +202,7 @@ def build_parser():
 
     p_opt = sub.add_parser("optimize", help="run one mode and write a k-search report")
     add_common(p_opt)
+    p_opt.add_argument("--folds", type=int, default=5)
     p_opt.add_argument("--mode", choices=MODES, default="sweep")
     p_opt.add_argument("--output", help="JSON report path (default: stdout)")
     p_opt.add_argument("--curve", help="also write the accuracy curve CSV here")
@@ -215,7 +210,8 @@ def build_parser():
 
     p_bench = sub.add_parser("bench", help="time several modes on identical inputs")
     add_common(p_bench)
-    p_bench.add_argument("--modes", default="sweep,naive-full",
+    p_bench.add_argument("--folds", type=int, default=5)
+    p_bench.add_argument("--modes", type=_modes, default="sweep,naive-full",
                          help="comma-separated list from: " + ",".join(MODES))
     p_bench.add_argument("--output", help="JSON result path (default: stdout)")
     p_bench.set_defaults(func=cmd_bench)
@@ -229,17 +225,10 @@ def build_parser():
     return parser
 
 
-def check_args(args):
-    """Reject option values argparse accepts but the run cannot use."""
-    if args.seed < 0:
-        raise BadParams(f"--seed must be >= 0, got {args.seed}")
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        check_args(args)
         return args.func(args)
     except KnnSweepError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Dataset loading, label encoding, synthetic generation and stratified folds.
 
-All randomness goes through numpy's PCG64 generator so that fold assignments
-and synthetic datasets are reproducible from a single integer seed.
+All randomness goes through one PCG64 generator, `_generator`, so that fold
+assignments and synthetic datasets are reproducible from one seed >= 0.
 """
 
 import csv
@@ -30,8 +30,8 @@ class Dataset:
 
     features: (n, d) float64, labels: (n,) int codes in 0..s-1 encoded by
     first appearance, class_names: original label strings per code. Features
-    that are not 2-D, or labels that are not n integers in 0..s-1, raise
-    InconsistentInputs.
+    that are not a 2-D array, labels that are not an array of n integers in
+    0..s-1, or class_names that are not s names raise InconsistentInputs.
     """
 
     features: np.ndarray
@@ -48,8 +48,8 @@ class Dataset:
         return self.features.shape[1]
 
     def __post_init__(self):
-        if self.features.ndim != 2:
-            raise InconsistentInputs(f"features must be 2-D, got shape {self.features.shape}")
+        if not isinstance(self.features, np.ndarray) or self.features.ndim != 2:
+            raise InconsistentInputs("features must be a 2-D numpy array")
         if self.n < 2:
             raise EmptyDataset(f"need at least 2 rows, got {self.n}")
         if self.d < 1:
@@ -60,10 +60,14 @@ class Dataset:
             r, c = np.argwhere(~np.isfinite(self.features))[0]
             raise NonFiniteFeature(int(r), int(c))
         labels = self.labels
-        if (labels.shape != (self.n,) or not np.issubdtype(labels.dtype, np.integer)
+        if (not isinstance(labels, np.ndarray) or labels.shape != (self.n,)
+                or not np.issubdtype(labels.dtype, np.integer)
                 or labels.min() < 0 or labels.max() >= self.s):
             raise InconsistentInputs(
-                f"labels must be {self.n} integer codes in 0..{self.s - 1}")
+                f"labels must be an array of {self.n} integer codes in 0..{self.s - 1}")
+        if len(self.class_names) != self.s:
+            raise InconsistentInputs(
+                f"class_names holds {len(self.class_names)} names for {self.s} classes")
         counts = np.bincount(labels, minlength=self.s)
         if np.any(counts == 0):
             raise SingleClass("some class code in 0..s-1 never appears")
@@ -76,7 +80,8 @@ class FoldAssignment:
     """Per-row fold index in 0..f-1, stratified by class.
 
     fold_sizes is derived: the count of each fold index. f < 2 or an empty
-    fold raises BadFoldCount, fold indices outside 0..f-1 InconsistentFolds.
+    fold raises BadFoldCount; a fold_of that is not a 1-D integer array, or
+    holds indices outside 0..f-1, raises InconsistentFolds.
     So every row has a neighbour outside its fold, and k_max >= 1.
     """
 
@@ -88,6 +93,9 @@ class FoldAssignment:
         if self.f < 2:
             raise BadFoldCount(f"fold count must be >= 2, got {self.f}")
         fold_of = self.fold_of
+        if not (isinstance(fold_of, np.ndarray) and fold_of.ndim == 1
+                and np.issubdtype(fold_of.dtype, np.integer)):
+            raise InconsistentFolds("fold_of must be a 1-D integer array")
         if fold_of.size and (fold_of.min() < 0 or fold_of.max() >= self.f):
             raise InconsistentFolds(f"fold indices must lie in 0..{self.f - 1}")
         object.__setattr__(self, "fold_sizes", np.bincount(fold_of, minlength=self.f))
@@ -188,6 +196,13 @@ def _undecodable_line(path):
         return data.count(b"\n", 0, exc.start)
 
 
+def _generator(seed):
+    """The PCG64 generator behind every random draw; a seed below 0 is BadParams."""
+    if seed < 0:
+        raise BadParams(f"seed must be >= 0, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def stratified_folds(dataset, f, seed):
     """Deterministic stratified fold assignment.
 
@@ -201,7 +216,7 @@ def stratified_folds(dataset, f, seed):
     if f > n:
         raise TooManyFolds(f"fold count {f} exceeds dataset size {n}")
 
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _generator(seed)
     dealt = np.concatenate([rng.permutation(np.flatnonzero(dataset.labels == c))
                             for c in range(dataset.s)])
     fold_of = np.empty(n, dtype=np.int64)
@@ -229,7 +244,7 @@ def generate_synthetic(n, d, s, spread, seed):
                        dtype=np.float64)
 
     labels = np.arange(n, dtype=np.int64) % s
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _generator(seed)
     features = centers[labels] + rng.normal(0.0, spread, size=(n, d))
     class_names = [f"c{c}" for c in range(s)]
     return Dataset(features=features, labels=labels, s=s, class_names=class_names)

@@ -80,9 +80,3 @@ class KTooLarge(KnnSweepError):
 
 class IoError(KnnSweepError):
     exit_code = 16
-
-
-class ValidationError(KnnSweepError):
-    """Bad CLI configuration (mode/flag combinations)."""
-
-    exit_code = 2

@@ -112,10 +112,10 @@ class KSearchReport:
 def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
     """Tally hits at every k = 1..folds.k_max over the rows of one sorted block.
 
-    Row j's k-th nearest cross-fold neighbor is its vote at depth k. Each
-    row must hold n - its fold size neighbours, at least k_max, and the
-    rows of one fold must be contiguous in the block (as in every block of
-    row_blocks), else InconsistentInputs. Hits are added per fold into
+    Row j's k-th nearest cross-fold neighbor is its vote at depth k. The
+    block must hold a row, each row n - its fold size neighbours (at least
+    k_max), and the rows of one fold must be contiguous in the block (as in
+    every block of row_blocks), else InconsistentInputs. Hits are added per fold into
     `correct`, a (k_max, f) integer tally of any layout that holds the
     largest fold (a new zeroed F-ordered one of tally_type by default),
     else InconsistentInputs: sweeping every block of row_blocks into one
@@ -125,6 +125,8 @@ def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
     check_policy(policy)
     truth = np.asarray(truth)
     rows = matrix.rows
+    if rows.size == 0:
+        raise InconsistentInputs("the block holds no rows")
     if truth.shape[0] != folds.n or rows.max() >= folds.n:
         raise InconsistentInputs(
             f"sizes disagree: matrix rows up to {rows.max()}, folds n={folds.n}, "

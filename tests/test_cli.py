@@ -17,6 +17,13 @@ def run(args):
     return main(args)
 
 
+def usage_error(args):
+    """argparse's exit code for args, which it must refuse."""
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    return exc.value.code
+
+
 def strip_timing(report_path):
     payload = json.loads(report_path.read_text())
     payload.pop("timing", None)
@@ -86,7 +93,11 @@ class TestOptimize:
         assert "spread" in capsys.readouterr().err
 
     def test_missing_input_spec(self):
-        assert run(["optimize", "--folds", "2"]) == 2
+        assert usage_error(["optimize", "--folds", "2"]) == 2
+
+    def test_both_input_specs(self, toy_csv):
+        assert usage_error(["optimize", "--input", str(toy_csv),
+                            "--synthetic", "20,2,2,0.5"]) == 2
 
     def test_unreadable_input_exit_codes(self, tmp_path, capsys):
         assert run(["optimize", "--input", str(tmp_path / "missing.csv")]) == 16  # IoError
@@ -99,13 +110,22 @@ class TestOptimize:
     def test_negative_seed_exit_code(self, toy_csv, capsys):
         assert run(["optimize", "--input", str(toy_csv), "--folds", "2",
                     "--seed", "-1"]) == 9  # BadParams
-        assert "--seed" in capsys.readouterr().err
+        assert "seed" in capsys.readouterr().err
 
     def test_repeat_is_not_an_option(self, toy_csv):
         # argparse exits with usage code 2 on an unknown flag
         with pytest.raises(SystemExit) as exc:
             run(["optimize", "--input", str(toy_csv), "--folds", "2", "--repeat", "3"])
         assert exc.value.code == 2
+
+    def test_stdout_report_is_one_document(self, tmp_path, capsys):
+        argv = ["optimize", "--synthetic", "60,2,3,1.0", "--folds", "3"]
+        assert run(argv) == 0
+        printed = json.loads(capsys.readouterr().out)
+        out = tmp_path / "r.json"
+        assert run(argv + ["--output", str(out)]) == 0
+        printed.pop("timing")
+        assert printed == strip_timing(out)
 
     def test_stages_called_through_cli_names(self, tmp_path, monkeypatch):
         # perfbench/child.py wraps these knnsweep.cli attributes in spans and
@@ -162,15 +182,16 @@ class TestBench:
             assert payload["modes"][mode]["seconds"]["total"] > 0
 
     def test_single_mode_rejected(self):
-        assert run(["bench", "--synthetic", "20,2,2,0.5", "--modes", "sweep"]) == 2
+        assert usage_error(["bench", "--synthetic", "20,2,2,0.5", "--modes", "sweep"]) == 2
 
     def test_duplicate_modes_rejected(self, capsys):
-        assert run(["bench", "--synthetic", "20,2,2,0.5", "--modes", "sweep,sweep"]) == 2
+        assert usage_error(["bench", "--synthetic", "20,2,2,0.5",
+                            "--modes", "sweep,sweep"]) == 2
         assert "distinct" in capsys.readouterr().err
 
     def test_unknown_mode_rejected(self):
-        assert run(["bench", "--synthetic", "20,2,2,0.5",
-                    "--modes", "sweep,turbo"]) == 2
+        assert usage_error(["bench", "--synthetic", "20,2,2,0.5",
+                            "--modes", "sweep,turbo"]) == 2
 
 
 class TestCurves:
@@ -206,6 +227,13 @@ class TestCurves:
         assert run(["curves", "--synthetic", "100,2,3,0.8", "--seed", "3",
                     "--memory-budget", str(need[0]), "--output-dir", str(outdir)]) == 11
         assert not list(outdir.glob("*.csv"))
+
+    def test_folds_is_not_an_option(self, tmp_path):
+        # curves sweeps its own fold counts
+        outdir = tmp_path / "c5"
+        assert usage_error(["curves", "--synthetic", "60,2,3,1.0", "--folds", "7",
+                            "--output-dir", str(outdir)]) == 2
+        assert not outdir.exists()
 
     def test_small_n_many_folds(self, tmp_path):
         outdir = tmp_path / "c2"

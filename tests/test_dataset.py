@@ -122,6 +122,20 @@ class TestDatasetLabels:
                     class_names=["a", "b"])
 
 
+class TestDatasetArrays:
+    def test_lists_rejected(self):
+        with pytest.raises(InconsistentInputs):
+            Dataset(features=[[0.0], [1.0], [2.0]], labels=np.array([0, 1, 1]), s=2,
+                    class_names=["a", "b"])
+        with pytest.raises(InconsistentInputs):
+            Dataset(features=np.zeros((3, 1)), labels=[0, 1, 1], s=2, class_names=["a", "b"])
+
+    def test_class_names_must_name_each_class(self):
+        with pytest.raises(InconsistentInputs):
+            Dataset(features=np.zeros((3, 1)), labels=np.array([0, 1, 1]), s=2,
+                    class_names=["a"])
+
+
 class TestDatasetFeatures:
     @pytest.mark.parametrize("shape", [(3,), (3, 2, 1)])
     def test_features_not_2d_rejected(self, shape):
@@ -144,6 +158,13 @@ class TestFoldAssignment:
         # one fold leaves a row no neighbour outside its fold
         with pytest.raises(BadFoldCount):
             FoldAssignment(fold_of=np.zeros(4, dtype=np.int64), f=f)
+
+    @pytest.mark.parametrize("fold_of", [np.array([0., 1., 0., 1.]),
+                                         np.array([[0, 1], [0, 1]]), [0, 1, 0, 1]],
+                             ids=["float", "2d", "list"])
+    def test_fold_of_not_1d_integer_array_rejected(self, fold_of):
+        with pytest.raises(InconsistentFolds):
+            FoldAssignment(fold_of=fold_of, f=2)
 
     def test_fold_sizes_must_match_fold_of(self):
         with pytest.raises(TypeError):  # derived from fold_of, never passed
@@ -193,6 +214,11 @@ class TestStratifiedFolds:
         with pytest.raises(TooManyFolds):
             stratified_folds(ds, 11, seed=0)
 
+    def test_negative_seed_rejected(self):
+        ds = generate_synthetic(10, 1, 2, 1.0, seed=0)
+        with pytest.raises(BadParams):
+            stratified_folds(ds, 5, seed=-1)
+
     def test_all_folds_nonempty_at_f_equals_n(self):
         ds = generate_synthetic(6, 1, 2, 1.0, seed=0)
         fa = stratified_folds(ds, 6, seed=3)
@@ -227,6 +253,8 @@ class TestGenerateSynthetic:
     def test_bad_params(self):
         with pytest.raises(BadParams):
             generate_synthetic(3, 1, 4, 0.5, seed=0)  # s > n
+        with pytest.raises(BadParams):
+            generate_synthetic(30, 2, 3, 1.0, seed=-1)
         with pytest.raises(BadParams):
             generate_synthetic(10, 1, 2, 0.0, seed=0)
         with pytest.raises(BadParams):

@@ -6,6 +6,7 @@ classes, and memory budgets small enough to force 1-row blocks and blocks
 that span folds.
 """
 
+import dataclasses
 import importlib
 import tracemalloc
 import warnings
@@ -287,6 +288,10 @@ def test_block_inputs_checked(toy):
         with pytest.raises(InconsistentInputs):
             build_sorted_matrix(ds, fa, rows=rows)
     block = build_sorted_matrix(ds, fa, rows=[0, 1])
+    empty = dataclasses.replace(block, distances=block.distances[:0], labels=block.labels[:0],
+                                sources=block.sources[:0], rows=block.rows[:0], n=0)
+    with pytest.raises(InconsistentInputs):  # only a hand-made block holds no rows
+        sweep(empty, fa, ds.labels)
     with pytest.raises(InconsistentInputs):
         sweep(block, fa, ds.labels, correct=np.zeros((fa.k_max + 1, fa.f), dtype=np.int64))
     other = FoldAssignment(fold_of=np.array([0, 0, 0, 1]), f=2)  # other row lengths
