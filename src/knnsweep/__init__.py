@@ -19,14 +19,14 @@ from .oracle import (
     logarithmic_schedule,
     naive_search,
 )
-from .sweep import (DEFAULT_MEMORY_BUDGET, TIE_POLICIES, AccuracyMatrix, KSearchReport,
+from .sweep import (DEFAULT_MEMORY_BUDGET, TIE_POLICIES, AccuracyMatrix, KSearchReport, LabelPanel,
                     accuracy_curve_export, classify_at_k, row_blocks, select_k, sweep, tally_type)
 
 __all__ = [
     "Dataset", "FoldAssignment", "load_csv", "stratified_folds", "generate_synthetic",
     "METRICS", "DEFAULT_MEMORY_BUDGET", "SortedDistanceMatrix", "build_sorted_matrix",
-    "TIE_POLICIES", "AccuracyMatrix", "KSearchReport", "classify_at_k", "sweep",
-    "row_blocks", "tally_type", "select_k", "accuracy_curve_export",
+    "TIE_POLICIES", "AccuracyMatrix", "KSearchReport", "classify_at_k", "LabelPanel",
+    "sweep", "row_blocks", "tally_type", "select_k", "accuracy_curve_export",
     "KSchedule", "knn_classify", "cross_validate", "logarithmic_schedule",
     "full_schedule", "naive_search", "FoldDistanceCache",
 ]

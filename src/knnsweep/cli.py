@@ -21,8 +21,8 @@ from .dataset import generate_synthetic, load_csv, stratified_folds
 from .distance import METRICS, build_sorted_matrix
 from .errors import BadParams, IoError, KnnSweepError, MemoryBudgetExceeded
 from .oracle import full_schedule, logarithmic_schedule, naive_search
-from .sweep import (DEFAULT_MEMORY_BUDGET, TIE_POLICIES, accuracy_curve_export, dataset_bytes,
-                    row_blocks, select_k, sweep, tally_type)
+from .sweep import (DEFAULT_MEMORY_BUDGET, TIE_POLICIES, LabelPanel, accuracy_curve_export,
+                    dataset_bytes, row_blocks, select_k, sweep, tally_type)
 
 MODES = ("sweep", "naive-full", "naive-log")
 CURVE_FOLD_COUNTS = (3, 5, 10, 20)
@@ -51,7 +51,7 @@ def _modes(spec):
 
 def _load_data(args):
     if args.synthetic is None:
-        return load_csv(args.input, args.label_col)
+        return load_csv(args.input, "label" if args.label_col is None else args.label_col)
     n, d, s, spread = _parse_synthetic(args.synthetic)
     # row_blocks' charge for the features: refuse before numpy fails to allocate them
     required = dataset_bytes(n, d)
@@ -62,27 +62,41 @@ def _load_data(args):
 
 def blocked_sweep(dataset, folds, metric="euclidean", policy="smallest_code",
                   memory_budget=DEFAULT_MEMORY_BUDGET):
-    """Accuracy for every k = 1..k_max, one row block at a time.
+    """Accuracy for every k = 1..k_max, one label panel at a time.
 
     Each block of row_blocks gets its sorted neighbour lists from
-    build_sorted_matrix and is tallied by sweep into one running count, so
-    no more than one block's lists exist at once. The stages are called
-    through this module's names, which perfbench/child.py wraps in spans.
-    Returns (AccuracyMatrix, seconds): "distance", "sort" and "sweep" summed
-    over the blocks, and "total" for the whole call.
+    build_sorted_matrix and is packed into a LabelPanel, then freed; a full
+    panel is voted by sweep into one running tally before the next block is
+    built, and the last one after the last block. So one build block and
+    one panel exist at once. The stages are called through this module's
+    names, which perfbench/child.py wraps in spans. Returns (AccuracyMatrix,
+    seconds): "distance" and "sort" summed over the blocks, "sweep" over
+    the packs and votes, and "total" for the whole call.
     """
     t_start = time.perf_counter()
     seconds = {"distance": 0.0, "sort": 0.0, "sweep": 0.0}
-    # fold-major: each block adds one contiguous run of k_max counts per fold
+    # fold-major: each panel adds one contiguous run of k_max counts per fold
     correct = np.zeros((folds.k_max, folds.f), dtype=tally_type(folds), order="F")
-    for rows in row_blocks(dataset, folds, memory_budget):
+    blocks = row_blocks(dataset, folds, memory_budget, policy)
+    panel = LabelPanel(blocks.panel_rows, folds.k_max, dataset.s, policy)
+
+    def vote():
+        t0 = time.perf_counter()
+        acc = sweep(panel, folds, dataset.labels, policy, correct=correct)
+        seconds["sweep"] += time.perf_counter() - t0
+        return acc
+
+    for rows in blocks:
+        if rows.size > panel.room:
+            vote()
         block = build_sorted_matrix(dataset, folds, metric, rows=rows)
         t0 = time.perf_counter()
-        acc = sweep(block, folds, dataset.labels, policy, correct=correct)
+        panel.pack(block)
         seconds["sweep"] += time.perf_counter() - t0
         seconds["distance"] += block.build_seconds["distance"]
         seconds["sort"] += block.build_seconds["sort"]
         del block  # before the next block is built
+    acc = vote()
     seconds["total"] = time.perf_counter() - t_start
     return acc, seconds
 
@@ -114,9 +128,9 @@ def cmd_optimize(args):
     folds = stratified_folds(dataset, args.folds, args.seed)
     report = run_mode(args.mode, dataset, folds, args)
 
-    _emit(args.output, report.to_json())
-    if args.curve:
+    if args.curve:  # first: a curve that cannot be written leaves no report behind
         accuracy_curve_export(report, args.curve)
+    _emit(args.output, report.to_json())
     if args.output:  # else stdout holds the report alone
         print(f"k* = {report.k_star}")
         for phase, t in report.timing.items():
@@ -161,7 +175,7 @@ def cmd_curves(args):
     # every fold count and its memory budget are checked before anything is written
     all_folds = [stratified_folds(dataset, f, args.seed) for f in CURVE_FOLD_COUNTS]
     for folds in all_folds:
-        row_blocks(dataset, folds, args.memory_budget)
+        row_blocks(dataset, folds, args.memory_budget, args.tie_policy)
     outdir = Path(args.output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -190,8 +204,8 @@ def build_parser():
         source.add_argument("--input", help="CSV file with a header row")
         source.add_argument("--synthetic", metavar="N,D,S,SPREAD",
                             help="generate a Gaussian-mixture dataset instead of reading a file")
-        p.add_argument("--label-col", default="label",
-                       help="label column name or index (default: label)")
+        p.add_argument("--label-col",
+                       help="label column name or index of --input (default: label)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--metric", choices=METRICS, default="euclidean")
         p.add_argument("--tie-policy", choices=TIE_POLICIES, default="smallest_code")
@@ -228,6 +242,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.synthetic is not None and args.label_col is not None:
+        parser.error("--label-col names a column of --input, and --synthetic reads no file")
     try:
         return args.func(args)
     except KnnSweepError as exc:

@@ -4,8 +4,11 @@ Per-row class counters (and a shadow of summed distances for tie-breaking)
 are grown one neighbor at a time; after each depth k the prediction for every
 row is compared against ground truth and tallied per fold. Counters are never
 reset, so the whole 1..k_max range costs one traversal of each row's list.
-row_blocks cuts the rows into blocks whose lists fit a memory budget, so
-the lists of all rows never have to exist at once.
+row_blocks cuts the rows into build blocks, and the first k_max neighbours
+of several built blocks are packed, depth-major and in the narrowest label
+type, into one LabelPanel, which the vote reads: the per-k loop runs once
+per panel, and neither the lists of all rows nor their int64 labels ever
+exist at once.
 """
 
 import json
@@ -38,9 +41,16 @@ FIXED_BYTES = 1 << 16
 CURVE_POINT_BYTES = 512
 SELECT_CHUNK_BYTES = 1 << 20  # select_k's float64 copy of some tally rows (one row at least)
 
-# Cap on one block's charge (_row_bytes), 240 rows at n=6000: wider blocks pay
-# the per-k Python loop less often but raise peak RSS (perfbench bounds it at 10 %).
+# Cap on one build block (_row_bytes) plus one label panel (_panel_row_bytes).
+# PANEL_SHARE of it holds the panel: at n=6000 (f=5, s=3) 3360 rows, so the
+# per-k loop runs twice, and the build blocks get the rest, 172 rows. A
+# shadow_min panel row costs 9 bytes a depth, not 1, and its panel still
+# holds two build blocks or more (605 and 279 rows in 3000-row LOOCV).
 BLOCK_BYTES = 48 << 20
+PANEL_SHARE = 1 / 3
+# Depths whose hits sweep adds into the tally at once: the hits and their
+# per-fold sums at the tally's type, a few hundred bytes a panel row
+HIT_CHUNK_DEPTHS = 16
 
 
 def check_policy(policy):
@@ -109,33 +119,88 @@ class KSearchReport:
         return json.dumps(vars(self), indent=indent)
 
 
-def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
-    """Tally hits at every k = 1..folds.k_max over the rows of one sorted block.
+def label_type(s):
+    """Narrowest unsigned type of a panel's codes for s classes: uint8 up to 256, else uint16."""
+    return np.min_scalar_type(_stride(s) - 1)
 
-    Row j's k-th nearest cross-fold neighbor is its vote at depth k. The
-    block must hold a row, each row n - its fold size neighbours (at least
-    k_max), and the rows of one fold must be contiguous in the block (as in
-    every block of row_blocks), else InconsistentInputs. Hits are added per fold into
-    `correct`, a (k_max, f) integer tally of any layout that holds the
-    largest fold (a new zeroed F-ordered one of tally_type by default),
-    else InconsistentInputs: sweeping every block of row_blocks into one
-    tally gives the whole accuracy matrix with one block's lists in memory.
-    Returns a read-only AccuracyMatrix view of the tally.
+
+def _stride(s):
+    """Counters a panel row keeps: s rounded up to a power of two, so a code is a mask away."""
+    return 1 << (int(s) - 1).bit_length()
+
+
+class LabelPanel:
+    """The first k_max neighbours of up to `width` rows, depth-major: all the vote reads.
+
+    labels[k-1, j] is the label of row rows[j]'s k-th nearest cross-fold
+    neighbour, in label_type(s); under shadow_min, distances[k-1, j] is its
+    distance (else distances is None). pack appends a built block's rows,
+    and sweep votes the packed rows, overwriting their labels, and empties
+    the panel for the next blocks.
+    """
+
+    def __init__(self, width, k_max, s, policy="smallest_code"):
+        check_policy(policy)
+        self.s, self.size = s, 0
+        self.rows = np.empty(width, dtype=np.intp)
+        self.labels = np.empty((k_max, width), dtype=label_type(s))
+        self.distances = np.empty((k_max, width)) if policy == "shadow_min" else None
+
+    @property
+    def room(self):
+        """Rows that can still be packed."""
+        return self.rows.size - self.size
+
+    def pack(self, block):
+        """Copy a built block's rows, to depth k_max, into the next free columns.
+
+        A block with more rows than room or fewer than k_max neighbours a
+        row raises InconsistentInputs.
+        """
+        k_max, b, lo = self.labels.shape[0], block.rows.size, self.size
+        if b > self.room or block.labels.shape[1] < k_max:
+            raise InconsistentInputs(f"a block of {b} rows and {block.labels.shape[1]} neighbours "
+                                     f"does not fit {self.room} free rows of depth {k_max}")
+        # narrow first: a one-byte transposed copy is the cheap one
+        self.labels[:, lo:lo + b] = block.labels[:, :k_max].astype(self.labels.dtype).T
+        if self.distances is not None:
+            self.distances[:, lo:lo + b] = block.distances[:, :k_max].T
+        self.rows[lo:lo + b] = block.rows
+        self.size += b
+
+
+def sweep(panel, folds, truth, policy="smallest_code", correct=None):
+    """Tally hits at every k = 1..folds.k_max over the rows packed in a LabelPanel.
+
+    Row j's k-th nearest cross-fold neighbour is its vote at depth k. The
+    panel must hold a row and folds.k_max depths, with the rows of one fold
+    contiguous (as they are when the blocks of row_blocks are packed in
+    order), truth must give those rows codes below the panel's s, and a
+    shadow_min vote needs the panel's distances, else InconsistentInputs.
+    The vote overwrites the panel's labels and empties it. Hits are added
+    per fold into `correct`, a (k_max, f) integer tally of any layout that
+    holds the largest fold (a new zeroed F-ordered one of tally_type by
+    default), else InconsistentInputs: sweeping every panel of a blocked
+    run into one tally gives the whole accuracy matrix with one panel in
+    memory. Returns a read-only AccuracyMatrix view of the tally.
     """
     check_policy(policy)
     truth = np.asarray(truth)
-    rows = matrix.rows
+    rows = panel.rows[:panel.size]
     if rows.size == 0:
-        raise InconsistentInputs("the block holds no rows")
-    if truth.shape[0] != folds.n or rows.max() >= folds.n:
+        raise InconsistentInputs("the panel holds no rows")
+    if truth.shape[0] != folds.n or rows.max() >= folds.n or len(panel.labels) != folds.k_max:
         raise InconsistentInputs(
-            f"sizes disagree: matrix rows up to {rows.max()}, folds n={folds.n}, "
-            f"truth n={truth.shape[0]}")
+            f"sizes disagree: panel rows up to {rows.max()} and depth {len(panel.labels)}, "
+            f"folds n={folds.n} and k_max={folds.k_max}, truth n={truth.shape[0]}")
+    truth = truth[rows]
+    if truth.min() < 0 or truth.max() >= panel.s:
+        raise InconsistentInputs(f"truth codes leave 0..{panel.s - 1}")
+    if policy == "shadow_min" and panel.distances is None:
+        raise InconsistentInputs("a shadow_min vote needs a panel with distances")
     row_folds = folds.fold_of[rows]
-    if np.any(folds.fold_sizes[row_folds] != folds.n - matrix.distances.shape[1]):
-        raise InconsistentInputs("matrix row lengths disagree with the folds")
     if np.count_nonzero(np.diff(row_folds)) + 1 != np.unique(row_folds).size:
-        raise InconsistentInputs("the rows of one fold are not contiguous in the block")
+        raise InconsistentInputs("the rows of one fold are not contiguous in the panel")
     k_max = folds.k_max
     if correct is None:
         correct = np.zeros((k_max, folds.f), dtype=tally_type(folds), order="F")
@@ -145,11 +210,10 @@ def sweep(matrix, folds, truth, policy="smallest_code", correct=None):
               and np.iinfo(correct.dtype).max >= folds.fold_sizes.max()):
         raise InconsistentInputs(f"a {correct.dtype} tally cannot count {folds.fold_sizes.max()} rows")
 
-    labels = matrix.labels[:, :k_max]
-    s = int(max(truth.max(), labels.max())) + 1
-    votes = np.ascontiguousarray(labels.T, dtype=np.int64)
+    dists = panel.distances[:, :rows.size] if policy == "shadow_min" else None
     with np.errstate(over="ignore"):  # shadow sums may overflow to inf, as the oracle's do
-        _accumulate(correct, votes, matrix.distances.T, truth[rows], row_folds, s, policy)
+        _accumulate(correct, panel.labels[:, :rows.size], dists, truth, row_folds, panel.s, policy)
+    panel.size = 0
     return AccuracyMatrix(correct=correct.view(), fold_sizes=folds.fold_sizes.copy(),
                           k_max=k_max, f=folds.f)
 
@@ -164,39 +228,74 @@ def dataset_bytes(n, d):
     return 16 * n * d + 64 * n
 
 
-def row_blocks(dataset, folds, memory_budget=DEFAULT_MEMORY_BUDGET):
-    """Iterator of row index blocks for a blocked sweep, each sized to fit memory_budget.
+class RowBlocks:
+    """Build blocks of a blocked sweep (iterate it) and the rows of the panel they fill."""
+
+    def __init__(self, folds, panel_rows, rows_per_block):
+        self.folds, self.panel_rows, self.rows_per_block = folds, panel_rows, rows_per_block
+
+    def __iter__(self):
+        return _row_blocks(self.folds, self.rows_per_block)
+
+
+def row_blocks(dataset, folds, memory_budget=DEFAULT_MEMORY_BUDGET, policy="smallest_code"):
+    """Row index blocks for a blocked sweep and the width of the panel they fill.
 
     The only place a run's memory is priced. The budget bounds the tally
     (tally_type), select_k's float64 chunk of it and its curve, copies of
-    the features (dataset_bytes) and one block's build and sweep (see
-    _row_bytes); a block is further capped at BLOCK_BYTES. Blocks follow
-    _row_blocks, so each one holds rows of one fold size. Raises
-    MemoryBudgetExceeded only when one row does not fit.
+    the features (dataset_bytes), one build block (_row_bytes) and one
+    LabelPanel with its vote (_panel_row_bytes), whose charge depends on the
+    tie policy; the block and the panel are further capped at BLOCK_BYTES,
+    PANEL_SHARE of which holds the panel. Returns a RowBlocks: iterating it
+    gives blocks in _row_blocks order, each of rows of one fold size and
+    none wider than panel_rows. Raises MemoryBudgetExceeded only when one
+    build row and one panel row do not fit.
     """
     n, d, s, f = dataset.n, dataset.d, dataset.s, folds.f
     if folds.n != n:
         raise InconsistentFolds(f"folds cover {folds.n} rows, dataset has {n}")
-    k_max = folds.k_max
+    check_policy(policy)
+    k_max, tally = folds.k_max, tally_type(folds)
     chunk = min(8 * k_max * f, max(SELECT_CHUNK_BYTES, 8 * f))  # one select_k float64 chunk
-    fixed = (tally_type(folds).itemsize * k_max * f + chunk + CURVE_POINT_BYTES * k_max
+    fixed = (tally.itemsize * k_max * f + chunk + CURVE_POINT_BYTES * k_max
              + dataset_bytes(n, d) + FIXED_BYTES)
-    required = fixed + _row_bytes(n - int(folds.fold_sizes.min()), d, s)
+    build = _row_bytes(n - int(folds.fold_sizes.min()), d)
+    panel = _panel_row_bytes(k_max, s, policy, tally)
+    required = fixed + build + panel
     if required > memory_budget:
         raise MemoryBudgetExceeded(required, memory_budget)
     cap = min(BLOCK_BYTES, memory_budget - fixed)
-    # the check above lets one row always fit; blocks are made as they are
-    # used, as a list of n one-row blocks would outgrow the budget
-    return _row_blocks(folds, lambda m: max(1, cap // _row_bytes(m, d, s)))
+    # the panel takes its share of the cap, and leaves room for one build row
+    width = min(n, max(1, min(int(cap * PANEL_SHARE), cap - build) // panel))
+    # blocks are made as they are used, as a list of n one-row blocks would
+    # outgrow the budget
+    return RowBlocks(folds, width,
+                     lambda m: min(width, max(1, (cap - width * panel) // _row_bytes(m, d))))
 
 
-def _row_bytes(m, d, s):
+def _row_bytes(m, d):
     """Upper bound of the bytes a block's build holds per row with m columns.
 
-    The vote phase (the stored lists plus votes, hits and the per-fold
-    sums, k_max <= m) fits in the same SORT_CELL_BYTES a column.
+    Packing the block into a panel adds its labels' narrow copy, which
+    fits in the same SORT_CELL_BYTES a column.
     """
-    return SORT_CELL_BYTES * m + 8 * d + 32 * s + 128
+    return SORT_CELL_BYTES * m + 8 * d + 128
+
+
+def _panel_row_bytes(k_max, s, policy, tally):
+    """Upper bound of the bytes a LabelPanel holds per row, its vote included.
+
+    The k_max stored depths (a label_type(s) code, and a float64 distance
+    under shadow_min), the row index, and the larger of the vote's buffers
+    (counters of _stride(s) slots, two under shadow_min, and a few int64
+    and bool rows) and one chunk of HIT_CHUNK_DEPTHS depths of hits with
+    their per-fold sums at the tally's type.
+    """
+    shadow = policy == "shadow_min"
+    stored = label_type(s).itemsize + 8 * shadow
+    vote = 8 * (1 + shadow) * _stride(s) + 96 + 64 * shadow
+    hits = min(k_max, HIT_CHUNK_DEPTHS) * (1 + 3 * tally.itemsize)
+    return stored * k_max + max(vote, hits) + 64
 
 
 def _row_blocks(folds, rows_per_block):
@@ -221,59 +320,74 @@ def _row_blocks(folds, rows_per_block):
                 yield from np.array_split(fold_rows, pieces)
 
 
-def _accumulate(correct, votes, dists, truth, block_folds, s, policy):
-    """Add one row block's hits at every depth k into correct[k-1, fold].
+def _accumulate(correct, labels, dists, truth, panel_folds, s, policy):
+    """Add one panel's hits at every depth k into correct[k-1, fold].
 
-    votes[k-1, j] is the label of block row j's k-th nearest neighbour and
-    dists[k-1, j] its distance (read only under shadow_min): a (k_max, B)
-    int64 array, overwritten with the leaders, and a float64 view of at
-    least k_max rows. Rows of one fold must be contiguous in the block.
+    labels[k-1, j] is the label of panel row j's k-th nearest neighbour,
+    overwritten with the code of its leader at depth k (_vote), and
+    dists[k-1, j] its distance (read only under shadow_min), both (k_max, W)
+    arrays. Rows of one fold must be contiguous in the panel. The hits are
+    summed per fold HIT_CHUNK_DEPTHS depths at a time, so no copy of all
+    the panel's hits at the tally's type exists.
+    """
+    # _vote's counters are freed before the hit chunks exist (_panel_row_bytes)
+    target = _vote(labels, dists, truth, s, policy).astype(labels.dtype)
+    starts = np.flatnonzero(np.r_[True, panel_folds[1:] != panel_folds[:-1]])
+    ids = panel_folds[starts]
+    for lo in range(0, len(labels), HIT_CHUNK_DEPTHS):
+        hits = (labels[lo:lo + HIT_CHUNK_DEPTHS] == target).T
+        if starts.size < len(hits):  # some fold has several rows here (not LOOCV)
+            hits = np.add.reduceat(hits, starts, axis=0, dtype=correct.dtype)
+        # fold-major: correct.T[i] is fold i's counts, contiguous in an F-ordered tally
+        correct.T[ids, lo:lo + HIT_CHUNK_DEPTHS] += hits
+
+
+def _vote(labels, dists, truth, s, policy):
+    """Overwrite labels[k-1] with each row's leader code at depth k; returns truth's codes.
 
     Only the incoming label's counter changes at depth k, so the leader is
-    kept or replaced by that label: O(1) work per vote. Shadow sums add
-    distances in ascending-neighbour order, as the oracle does, so the
-    comparisons are exact.
+    kept or replaced by that label: O(1) work per vote. Each depth's labels
+    are read into one int64 counter index, row * _stride(s) + label. Shadow
+    sums add distances in ascending-neighbour order, as the oracle does, so
+    the comparisons are exact.
     """
-    k_max, b = votes.shape
-    base = np.arange(b, dtype=np.int64) * s
-    votes += base  # flat counter index row * s + label
+    k_max, w = labels.shape
+    stride = _stride(s)
+    base = np.arange(w, dtype=np.int64) * stride
+    idx = np.empty(w, dtype=np.int64)
     if policy == "smallest_code":
-        # key = count * s + (s - 1 - label): the leader has the largest key
-        keys = np.tile(np.arange(s - 1, -1, -1, dtype=np.int64), b)
-        prev = np.zeros(b, dtype=np.int64)
+        # key = count * stride + (stride - 1 - label): the leader has the
+        # largest key, and its low bits are the leader's code stride - 1 - label
+        keys = np.tile(np.arange(stride - 1, -1, -1, dtype=np.int64), w)
+        lead = np.zeros(w, dtype=np.int64)
         for k in range(k_max):
-            idx = votes[k]
+            np.add(labels[k], base, out=idx)
             key = keys[idx]
-            key += s
+            key += stride
             keys[idx] = key
-            prev = np.maximum(prev, key, out=idx)
-        votes %= s
-        hits = votes == (s - 1 - truth)
-    else:
-        counts = np.zeros(b * s, dtype=np.int64)
-        shadow = np.zeros(b * s, dtype=np.float64)
-        leader = base.copy()
-        for k in range(k_max):
-            idx = votes[k]
-            count = counts[idx]
-            count += 1
-            counts[idx] = count
-            total = shadow[idx]
-            total += dists[k]
-            shadow[idx] = total
-            # enters the lead on more votes, or on equal votes with a smaller
-            # (shadow, label); a leader that took this vote ties itself and stays
-            lead_count, lead_shadow = counts[leader], shadow[leader]
-            win = (total < lead_shadow) | ((total == lead_shadow) & (idx < leader))
-            win &= count == lead_count
-            win |= count > lead_count
-            np.copyto(leader, idx, where=win)
-            idx[...] = leader
-        votes -= base
-        hits = votes == truth
-    starts = np.flatnonzero(np.r_[True, block_folds[1:] != block_folds[:-1]])
-    # fold-major: correct.T[i] is fold i's counts, contiguous in an F-ordered tally
-    correct.T[block_folds[starts]] += np.add.reduceat(hits.T, starts, axis=0, dtype=correct.dtype)
+            np.maximum(lead, key, out=lead)
+            np.bitwise_and(lead, stride - 1, out=labels[k], casting="unsafe")
+        return stride - 1 - truth
+    counts = np.zeros(w * stride, dtype=np.int64)
+    shadow = np.zeros(w * stride, dtype=np.float64)
+    leader = base.copy()
+    for k in range(k_max):
+        np.add(labels[k], base, out=idx)
+        count = counts[idx]
+        count += 1
+        counts[idx] = count
+        total = shadow[idx]
+        total += dists[k]
+        shadow[idx] = total
+        # enters the lead on more votes, or on equal votes with a smaller
+        # (shadow, label); a leader that took this vote ties itself and stays
+        lead_count, lead_shadow = counts[leader], shadow[leader]
+        win = (total < lead_shadow) | ((total == lead_shadow) & (idx < leader))
+        win &= count == lead_count
+        win |= count > lead_count
+        np.copyto(leader, idx, where=win)
+        np.subtract(leader, base, out=labels[k], casting="unsafe")
+    return truth
 
 
 def select_k(acc, evaluated_k=None, timing=None):

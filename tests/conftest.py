@@ -3,7 +3,7 @@ import pytest
 
 from knnsweep.dataset import Dataset, FoldAssignment, generate_synthetic, stratified_folds
 from knnsweep.distance import build_sorted_matrix
-from knnsweep.sweep import row_blocks
+from knnsweep.sweep import LabelPanel, row_blocks
 
 
 @pytest.fixture
@@ -35,3 +35,11 @@ def sorted_rows(ds, fa, metric="euclidean"):
         block = build_sorted_matrix(ds, fa, metric, rows=rows)
         for j, r in enumerate(block.rows.tolist()):
             yield r, block.distances[j], block.labels[j], block.sources[j]
+
+
+def panel_of(fa, s, *blocks, policy="smallest_code"):
+    """A LabelPanel just wide enough for the built blocks, packed in order."""
+    panel = LabelPanel(sum(b.rows.size for b in blocks), fa.k_max, s, policy)
+    for block in blocks:
+        panel.pack(block)
+    return panel

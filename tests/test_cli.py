@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -133,24 +134,47 @@ class TestOptimize:
         for name in ("load_csv", "stratified_folds", "select_k"):
             assert callable(getattr(cli, name))
         assert callable(estimate_footprint)
-        calls, results = [], []
+        calls = []
         for name in ("build_sorted_matrix", "sweep"):
-            real = getattr(cli, name)
-
-            def counted(*args, _real=real, _name=name, **kwargs):
-                calls.append(_name)
-                results.append(_real(*args, **kwargs))
-                return results[-1]
+            def counted(*args, _real=getattr(cli, name), _name=name, **kwargs):
+                calls.append((_name, _real(*args, **kwargs)))
+                return calls[-1][1]
             monkeypatch.setattr(cli, name, counted)
         out = tmp_path / "r.json"
+        # a budget that leaves panels of 25 rows and blocks of 4
         assert run(["optimize", "--synthetic", "60,3,3,0.8", "--folds", "5",
-                    "--seed", "4", "--memory-budget", "150000", "--output", str(out)]) == 0
-        assert len(calls) > 2 and calls == ["build_sorted_matrix", "sweep"] * (len(calls) // 2)
-        for block, acc in zip(results[::2], results[1::2]):
+                    "--seed", "4", "--memory-budget", "117000", "--output", str(out)]) == 0
+        # one or more builds packed into each panel, then its vote
+        shape = "".join("b" if name == "build_sorted_matrix" else "v" for name, _ in calls)
+        assert re.fullmatch(r"(b+v)+", shape) and shape.count("v") > 1 and "bbv" in shape
+        for name, result in calls:
+            if name == "sweep":
+                assert result.k_max == 60 - 12  # the folds' k_max: five folds of 12 rows
+                continue
             for attr in ("distances", "labels", "sources", "valid_len", "build_seconds",
                          "n", "f"):
-                assert hasattr(block, attr), attr
-            assert acc.k_max == 60 - 12  # the folds' k_max: five folds of 12 rows
+                assert hasattr(result, attr), attr
+            assert len(result.valid_len) == len(result.distances) == result.n
+            assert set(result.build_seconds) == {"distance", "sort"}
+
+    def test_curve_written_before_the_report(self, tmp_path, capsys):
+        # a curve that cannot be written fails the call before any report exists
+        argv = ["optimize", "--synthetic", "30,2,2,1.0", "--folds", "2",
+                "--curve", str(tmp_path / "missing" / "c.csv")]
+        assert run(argv) == 16  # IoError
+        assert capsys.readouterr().out == ""
+        out = tmp_path / "r.json"
+        assert run(argv + ["--output", str(out)]) == 16
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    def test_label_col_only_with_input(self, toy_csv, tmp_path):
+        assert usage_error(["optimize", "--synthetic", "20,2,2,0.5", "--label-col", "y"]) == 2
+        out = tmp_path / "r.json"
+        assert run(["optimize", "--input", str(toy_csv), "--label-col", "label", "--folds", "2",
+                    "--output", str(out)]) == 0
+        assert run(["optimize", "--input", str(toy_csv), "--label-col", "x", "--folds", "2",
+                    "--output", str(out)]) == 3  # ParseError: "label" is now a feature
 
     def test_determinism_excluding_timing(self, tmp_path):
         outs = []

@@ -6,7 +6,6 @@ classes, and memory budgets small enough to force 1-row blocks and blocks
 that span folds.
 """
 
-import dataclasses
 import importlib
 import tracemalloc
 import warnings
@@ -17,13 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import panel_of
+from knnsweep import cli
 from knnsweep.cli import blocked_sweep
 from knnsweep.dataset import Dataset, FoldAssignment, generate_synthetic, stratified_folds
 from knnsweep.distance import METRICS, build_sorted_matrix, sort_rows
 from knnsweep.errors import InconsistentFolds, InconsistentInputs, MemoryBudgetExceeded
 from knnsweep.oracle import FoldDistanceCache, cross_validate
-from knnsweep.sweep import (TIE_POLICIES, _row_blocks, _row_bytes, row_blocks, select_k, sweep,
-                            tally_type)
+from knnsweep.sweep import (TIE_POLICIES, LabelPanel, _panel_row_bytes, _row_blocks, _row_bytes,
+                            label_type, row_blocks, select_k, sweep, tally_type)
 
 sweep_module = importlib.import_module("knnsweep.sweep")
 
@@ -68,7 +69,7 @@ def test_equals_oracle(n, d, s, integer, fold_kind, f, metric, policy, tight_bud
     # a few rows, which span folds and split them when folds are small
     budget = min_budget(ds, fa, metric, policy) if tight_budget else 4 << 30
     cap = (sweep_module.BLOCK_BYTES if block_rows is None
-           else block_rows * _row_bytes(n, d, s))
+           else block_rows * _row_bytes(n, d))
     with mock.patch.object(sweep_module, "BLOCK_BYTES", cap):
         acc, _ = blocked_sweep(ds, fa, metric, policy, memory_budget=budget)
 
@@ -174,20 +175,71 @@ def test_traced_peak_within_budget(n, d, s, f, metric, policy, scale):
 @pytest.mark.parametrize("policy", TIE_POLICIES)
 @pytest.mark.parametrize("f", [5, 400])
 def test_vote_footprint(policy, f):
-    # _row_bytes charges a block its build alone, which must also cover the
-    # vote: one fold's block, or one block spanning 400 one-row folds
-    ds = generate_synthetic(400, 3, 3, 1.0, seed=f)
-    fa = stratified_folds(ds, f, seed=f)
-    rows = np.flatnonzero(fa.fold_of == 0) if f < ds.n else np.arange(ds.n)
-    block = build_sorted_matrix(ds, fa, rows=rows)
-    correct = np.zeros((fa.k_max, fa.f), dtype=tally_type(fa), order="F")
-    tracemalloc.start()
-    try:
-        sweep(block, fa, ds.labels, policy, correct=correct)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= rows.size * (16 * fa.k_max + 32 * ds.s + 128)
+    # row_blocks charges a panel row _panel_row_bytes: its stored depths and
+    # row index, which exist before the vote, and the vote's buffers and hit
+    # chunks, which must hold its traced peak; a panel of three blocks of one
+    # fold, or of three blocks spanning 400 one-row folds, in uint8 or uint16
+    for s in (3, 300):
+        ds = generate_synthetic(400, 3, s, 1.0, seed=f)
+        fa = stratified_folds(ds, f, seed=f)
+        rows = np.flatnonzero(fa.fold_of == 0) if f < ds.n else np.arange(ds.n)
+        panel = panel_of(fa, s, *(build_sorted_matrix(ds, fa, rows=part)
+                                  for part in np.array_split(rows, 3)), policy=policy)
+        stored = sum(a.nbytes for a in (panel.rows, panel.labels, panel.distances)
+                     if a is not None)
+        correct = np.zeros((fa.k_max, fa.f), dtype=tally_type(fa), order="F")
+        tracemalloc.start()
+        try:
+            sweep(panel, fa, ds.labels, policy, correct=correct)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= rows.size * _panel_row_bytes(fa.k_max, s, policy, tally_type(fa)) - stored
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """The stages blocked_sweep calls, in order: "b" a build, "v" a vote."""
+    calls = []
+    for name, tag in (("build_sorted_matrix", "b"), ("sweep", "v")):
+        def spy(*args, _real=getattr(cli, name), _tag=tag, **kwargs):
+            calls.append(_tag)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("policy", TIE_POLICIES)
+@pytest.mark.parametrize("instance", [
+    # folds of 12, 11, 11 and 11 rows, and 36/4: one panel holds rows of two fold sizes
+    lambda: make_instance(45, 2, 3, True, "stratified", 4, seed=6),
+    lambda: make_instance(40, 2, 3, True, "skewed", 0, seed=7),
+    # LOOCV: blocks of a few rows span folds
+    lambda: make_instance(40, 2, 4, True, "loocv", 0, seed=8),
+    # 300 classes: a uint16 panel
+    lambda: make_instance(330, 2, 300, False, "stratified", 3, seed=9),
+    # distance sums overflow to inf, in four folds and in LOOCV
+    lambda: (overflow_instance(), stratified_folds(overflow_instance(), 4, seed=0)),
+    lambda: (overflow_instance(), stratified_folds(overflow_instance(), 60, seed=0)),
+], ids=["unequal_folds", "skewed", "loocv", "uint16", "overflow", "overflow_loocv"])
+def test_panel_of_several_blocks_equals_oracle(instance, policy, stage_calls):
+    ds, fa = instance()
+    # panels of a third of the rows; blocks of two rows of the smallest fold,
+    # whose rows have the most columns, and of more rows of larger folds
+    panel_bytes = ds.n // 3 * _panel_row_bytes(fa.k_max, ds.s, policy, tally_type(fa))
+    cap = panel_bytes + 2 * _row_bytes(ds.n - int(fa.fold_sizes.min()), ds.d)
+    share = (panel_bytes + 0.5) / cap
+    with mock.patch.multiple(sweep_module, BLOCK_BYTES=cap, PANEL_SHARE=share):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acc, _ = blocked_sweep(ds, fa, "euclidean", policy)
+    panels = "".join(stage_calls).split("v")  # the builds packed into each voted panel
+    assert len(panels) > 3 and panels[-1] == "" and max(map(len, panels)) >= 3
+    assert_equals_oracle(acc, ds, fa, "euclidean", policy)
+
+
+def test_panel_codes_are_narrowest_unsigned():
+    assert [label_type(s) for s in (2, 3, 256, 257, 65536)] == [np.uint8] * 3 + [np.uint16] * 2
 
 
 def test_budget_refused_only_below_one_row(toy):
@@ -256,7 +308,9 @@ def test_block_tallies_add_up(toy):
     ds, fa = toy
     correct = np.zeros((fa.k_max, fa.f), dtype=np.int64)
     for rows in ([3, 0], [1], [2]):
-        acc = sweep(build_sorted_matrix(ds, fa, rows=rows), fa, ds.labels, correct=correct)
+        panel = panel_of(fa, ds.s, build_sorted_matrix(ds, fa, rows=rows))
+        acc = sweep(panel, fa, ds.labels, correct=correct)
+        assert panel.size == 0  # the vote empties its panel
     assert acc.correct.tolist() == [[1, 2], [1, 1]]
     assert not acc.correct.flags.writeable and correct.flags.writeable
 
@@ -275,11 +329,12 @@ def test_tally_is_narrowest_type_that_counts_a_fold():
     assert acc.correct.dtype == tally_type(fa) == np.int16
     assert acc.correct[0].tolist() == [128, 128]
     block = build_sorted_matrix(ds, fa, rows=np.flatnonzero(fa.fold_of == 0))
-    assert sweep(block, fa, ds.labels).correct.dtype == np.int16  # the default tally
+    # the default tally
+    assert sweep(panel_of(fa, ds.s, block), fa, ds.labels).correct.dtype == np.int16
     for tally in (np.zeros((fa.k_max, fa.f), dtype=np.int8),
                   np.zeros((fa.k_max, fa.f), dtype=np.float64)):
         with pytest.raises(InconsistentInputs):
-            sweep(block, fa, ds.labels, correct=tally)
+            sweep(panel_of(fa, ds.s, block), fa, ds.labels, correct=tally)
 
 
 def test_block_inputs_checked(toy):
@@ -288,20 +343,22 @@ def test_block_inputs_checked(toy):
         with pytest.raises(InconsistentInputs):
             build_sorted_matrix(ds, fa, rows=rows)
     block = build_sorted_matrix(ds, fa, rows=[0, 1])
-    empty = dataclasses.replace(block, distances=block.distances[:0], labels=block.labels[:0],
-                                sources=block.sources[:0], rows=block.rows[:0], n=0)
-    with pytest.raises(InconsistentInputs):  # only a hand-made block holds no rows
-        sweep(empty, fa, ds.labels)
+    with pytest.raises(InconsistentInputs):  # a panel with nothing packed
+        sweep(LabelPanel(2, fa.k_max, ds.s), fa, ds.labels)
+    for panel in (LabelPanel(1, fa.k_max, ds.s), LabelPanel(2, fa.k_max + 1, ds.s)):
+        with pytest.raises(InconsistentInputs):  # too few free rows, or neighbours
+            panel.pack(block)
+    panel = panel_of(fa, ds.s, block)
     with pytest.raises(InconsistentInputs):
-        sweep(block, fa, ds.labels, correct=np.zeros((fa.k_max + 1, fa.f), dtype=np.int64))
-    other = FoldAssignment(fold_of=np.array([0, 0, 0, 1]), f=2)  # other row lengths
+        sweep(panel, fa, ds.labels, correct=np.zeros((fa.k_max + 1, fa.f), dtype=np.int64))
+    other = FoldAssignment(fold_of=np.array([0, 0, 0, 1]), f=2)  # another k_max
     with pytest.raises(InconsistentInputs):
-        sweep(block, other, ds.labels)
+        sweep(panel, other, ds.labels)
     with pytest.raises(InconsistentInputs):  # rows of folds of 3 and 1 rows
         build_sorted_matrix(ds, other, rows=[0, 3])
     interleaved = build_sorted_matrix(ds, fa, rows=[0, 1, 2, 3])  # folds 0, 1, 0, 1
     with pytest.raises(InconsistentInputs):
-        sweep(interleaved, fa, ds.labels)
+        sweep(panel_of(fa, ds.s, interleaved), fa, ds.labels)
     assert sum(b.size for b in row_blocks(ds, fa)) == ds.n
 
 
@@ -309,8 +366,8 @@ def test_tally_is_fold_major():
     ds, fa = make_instance(30, 2, 3, True, "stratified", 3, seed=2)
     acc, _ = blocked_sweep(ds, fa)
     assert acc.correct.shape == (fa.k_max, 3) and acc.correct.flags.f_contiguous
-    block = build_sorted_matrix(ds, fa, rows=np.flatnonzero(fa.fold_of == 0))
-    assert sweep(block, fa, ds.labels).correct.flags.f_contiguous  # the default tally
+    panel = panel_of(fa, ds.s, build_sorted_matrix(ds, fa, rows=np.flatnonzero(fa.fold_of == 0)))
+    assert sweep(panel, fa, ds.labels).correct.flags.f_contiguous  # the default tally
 
 
 @pytest.mark.parametrize("fold_kind", ["stratified", "loocv", "skewed"])
@@ -319,7 +376,8 @@ def test_tally_layout_counts_the_same(fold_kind):
     acc, _ = blocked_sweep(ds, fa, memory_budget=min_budget(ds, fa) * 3)
     for order in ("C", "F"):
         correct = np.zeros((fa.k_max, fa.f), dtype=np.int64, order=order)
-        for rows in row_blocks(ds, fa):
-            sweep(build_sorted_matrix(ds, fa, rows=rows), fa, ds.labels, correct=correct)
+        for rows in row_blocks(ds, fa):  # one block a panel
+            panel = panel_of(fa, ds.s, build_sorted_matrix(ds, fa, rows=rows))
+            sweep(panel, fa, ds.labels, correct=correct)
         np.testing.assert_array_equal(correct, acc.correct)
     assert_equals_oracle(acc, ds, fa, "euclidean", "smallest_code")

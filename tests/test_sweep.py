@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import panel_of
 from knnsweep.cli import blocked_sweep
 from knnsweep.dataset import FoldAssignment, generate_synthetic, stratified_folds
 from knnsweep.distance import SortedDistanceMatrix, build_sorted_matrix
@@ -82,7 +83,7 @@ class TestSweep:
                         sources=[[2, 3], [2, 3], [0, 1], [0, 1]],
                         f=2)
         fa = FoldAssignment(fold_of=np.array([0, 0, 1, 1]), f=2)
-        acc = sweep(m, fa, truth=np.zeros(4, dtype=int))
+        acc = sweep(panel_of(fa, 2, m), fa, truth=np.zeros(4, dtype=int))
         for k in range(fa.k_max):
             assert acc.correct[k].tolist() == fa.fold_sizes.tolist()
 
@@ -91,7 +92,7 @@ class TestSweep:
         fa = stratified_folds(ds, 2, seed=0)
         m = build_sorted_matrix(ds, fa, rows=[0, 1])
         assert fa.k_max == 1
-        acc = sweep(m, fa, ds.labels)
+        acc = sweep(panel_of(fa, ds.s, m), fa, ds.labels)
         assert acc.correct.shape == (1, 2)
         # prediction is the sole cross-fold neighbor's label
         expected = [int(m.labels[r, 0] == ds.labels[r]) for r in range(2)]
@@ -99,9 +100,13 @@ class TestSweep:
 
     def test_inconsistent_inputs(self, toy):
         ds, fa = toy
-        m = build_sorted_matrix(ds, fa, rows=[0, 2])
+        panel = panel_of(fa, ds.s, build_sorted_matrix(ds, fa, rows=[0, 2]))
         with pytest.raises(InconsistentInputs):
-            sweep(m, fa, ds.labels[:3])
+            sweep(panel, fa, ds.labels[:3])
+        with pytest.raises(InconsistentInputs):  # a code the panel's s does not cover
+            sweep(panel, fa, np.array([0, 0, 2, 0]))
+        with pytest.raises(InconsistentInputs):  # no distances to break ties with
+            sweep(panel, fa, ds.labels, "shadow_min")
 
     def test_policies_agree_without_ties(self):
         # distinct per-pair distances and odd k majorities rarely tie, but the
