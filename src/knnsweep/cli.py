@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -64,41 +66,58 @@ def blocked_sweep(dataset, folds, metric="euclidean", policy="smallest_code",
                   memory_budget=DEFAULT_MEMORY_BUDGET):
     """Accuracy for every k = 1..k_max, one label panel at a time.
 
-    Each block of row_blocks gets its sorted neighbour lists from
-    build_sorted_matrix and is packed into a LabelPanel, then freed; a full
-    panel is voted by sweep into one running tally before the next block is
-    built, and the last one after the last block. So one build block and
-    one panel exist at once. The stages are called through this module's
-    names, which perfbench/child.py wraps in spans. Returns (AccuracyMatrix,
-    seconds): "distance" and "sort" summed over the blocks, "sweep" over
-    the packs and votes, and "total" for the whole call.
+    Each block of row_blocks is one task on a pool of blocks.workers
+    threads, one pool per call: it gets its sorted neighbour lists from
+    build_sorted_matrix, packs them into the panel columns this thread
+    reserved for it in block order, and frees the block. At most
+    blocks.workers tasks are pending at once. Once all tasks of a full
+    panel are done, sweep votes it on this thread into one running tally,
+    and only then is the next panel's first task submitted; the last panel
+    is voted after the last block. So blocks.workers build blocks and one
+    panel exist at once. The stages are called through this module's names,
+    which perfbench/child.py wraps in spans. Returns (AccuracyMatrix,
+    seconds), wall-clock on this thread: "distance" and "sort" split its
+    waits for the builds in the ratio of the builds' own build_seconds,
+    "sweep" is the votes, and "total" the whole call.
     """
     t_start = time.perf_counter()
-    seconds = {"distance": 0.0, "sort": 0.0, "sweep": 0.0}
     # fold-major: each panel adds one contiguous run of k_max counts per fold
     correct = np.zeros((folds.k_max, folds.f), dtype=tally_type(folds), order="F")
     blocks = row_blocks(dataset, folds, memory_budget, policy)
     panel = LabelPanel(blocks.panel_rows, folds.k_max, dataset.s, policy)
+    tasks = deque()
+    spent = {"wait": 0.0, "sweep": 0.0, "distance": 0.0, "sort": 0.0}
+
+    def build(rows, lo):
+        block = build_sorted_matrix(dataset, folds, metric, rows=rows)
+        panel.pack(block, lo)
+        return block.build_seconds
+
+    def wait(pending):
+        """Wait until at most `pending` tasks are left."""
+        t0 = time.perf_counter()
+        while len(tasks) > pending:
+            for phase, t in tasks.popleft().result().items():
+                spent[phase] += t
+        spent["wait"] += time.perf_counter() - t0
 
     def vote():
+        wait(0)
         t0 = time.perf_counter()
         acc = sweep(panel, folds, dataset.labels, policy, correct=correct)
-        seconds["sweep"] += time.perf_counter() - t0
+        spent["sweep"] += time.perf_counter() - t0
         return acc
 
-    for rows in blocks:
-        if rows.size > panel.room:
-            vote()
-        block = build_sorted_matrix(dataset, folds, metric, rows=rows)
-        t0 = time.perf_counter()
-        panel.pack(block)
-        seconds["sweep"] += time.perf_counter() - t0
-        seconds["distance"] += block.build_seconds["distance"]
-        seconds["sort"] += block.build_seconds["sort"]
-        del block  # before the next block is built
-    acc = vote()
-    seconds["total"] = time.perf_counter() - t_start
-    return acc, seconds
+    with ThreadPoolExecutor(blocks.workers) as pool:
+        for rows in blocks:
+            if rows.size > panel.room:
+                vote()
+            wait(blocks.workers - 1)
+            tasks.append(pool.submit(build, rows, panel.reserve(rows)))
+        acc = vote()
+    share = spent["distance"] / ((spent["distance"] + spent["sort"]) or 1)
+    return acc, {"distance": spent["wait"] * share, "sort": spent["wait"] * (1 - share),
+                 "sweep": spent["sweep"], "total": time.perf_counter() - t_start}
 
 
 def run_mode(mode, dataset, folds, args):

@@ -6,9 +6,7 @@ fold size, so every row has the same number of neighbors, built with one
 distance pass and one sort pass over all of them.
 """
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,21 +22,10 @@ _CDIST_NAME = {"euclidean": "euclidean", "manhattan": "cityblock", "chebyshev": 
 ENTRY_BYTES = 16
 # Upper bound, per row, of the bytes a build holds per distance column
 # (distances, the sort keys that become the order, the sorted distances and
-# the int32 sources and labels; rows sorted again add their stable order)
+# the int32 sources and labels)
 SORT_CELL_BYTES = 40
 ROW_OVERHEAD = 16
 BASE_OVERHEAD = 256
-
-# Work, in element operations, below which a call runs on the calling thread:
-# cdist does rows·cols·d, a sort about rows·cols·log2(cols). A pool costs
-# more than it saves on a d=4 block cdist (4.6e6 operations; on a 2-CPU x86
-# VM 3.8 ms on one thread, 4.7 ms on two) and pays on a 240 x 4800 sort
-# (1.5e7; 32 ms on one thread, 17 ms on two).
-PARALLEL_WORK = 1 << 23
-# Row chunks per worker. Only `workers` chunks run at once, so their sort
-# temporaries (a bool a cell, and rows sorted again) cover at most about a
-# quarter of the rows, and a sort stays inside SORT_CELL_BYTES.
-CHUNKS_PER_WORKER = 4
 
 
 def check_metric(metric):
@@ -47,55 +34,19 @@ def check_metric(metric):
     return metric
 
 
-def _worker_count():
-    """CPUs this process may run on (all of them where affinity is unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _over_row_chunks(rows, work, task):
-    """Call task(lo, hi) on contiguous row ranges that cover range(rows).
-
-    Below PARALLEL_WORK, or with fewer than CHUNKS_PER_WORKER rows per
-    worker, that is one call on this thread. Otherwise the rows are cut into
-    CHUNKS_PER_WORKER chunks per worker, one worker per usable CPU, and the
-    chunks run on a thread pool; a task's exception is raised here.
-    """
-    workers = min(_worker_count(), rows // CHUNKS_PER_WORKER)
-    if work < PARALLEL_WORK or workers < 2:
-        task(0, rows)
-        return
-    chunks = workers * CHUNKS_PER_WORKER
-    bounds = [rows * i // chunks for i in range(chunks + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        for future in futures:
-            future.result()
-
-
 def distance_matrix(a, b, metric):
     """All pairwise distances between rows of a and rows of b, float64.
 
     Single shared definition for every code path so that distances compare
-    bitwise-equal wherever the same pair of points is involved. Large calls
-    split a's rows into contiguous chunks run on a thread pool; each chunk's
-    cdist writes its rows of the one result, so every pair is still computed
-    by one cdist call and the result does not depend on the chunking.
+    bitwise-equal wherever the same pair of points is involved: one cdist
+    call on the calling thread.
     """
     check_metric(metric)
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatch(f"dimensions differ: {a.shape[1]} vs {b.shape[1]}")
-    out = np.empty((a.shape[0], b.shape[0]))
-    name = _CDIST_NAME[metric]
-
-    def chunk(lo, hi):
-        cdist(a[lo:hi], b, metric=name, out=out[lo:hi])
-
-    _over_row_chunks(a.shape[0], out.size * a.shape[1], chunk)
-    return out
+    return cdist(a, b, metric=_CDIST_NAME[metric])
 
 
 def sort_rows(d):
@@ -106,36 +57,31 @@ def sort_rows(d):
     bits order like the values (NaN after inf), and equal distances fall in
     column order. Rows whose sorted distances decrease (two distances that
     shared their kept bits) or end in a sign bit (a negative value or -0.0
-    sorts last) are sorted again, stably. Large calls run contiguous row
-    chunks on a thread pool, each writing its own rows of the two results,
-    so no row depends on the chunking. Returns (order, sorted distances).
+    sorts last) are sorted again, stably, one row at a time, so their
+    temporaries stay one row wide. Runs on the calling thread. Returns
+    (order, sorted distances).
     """
     d = np.ascontiguousarray(d, dtype=np.float64)
     rows, cols = d.shape
     b = max(cols - 1, 1).bit_length()
     order = np.empty(d.shape, dtype=np.intp)
     sorted_d = np.empty_like(d)
-
-    def chunk(lo, hi):
-        part_d, part, out = d[lo:hi], order[lo:hi], sorted_d[lo:hi]
-        key = part.view(np.uint64)
-        np.right_shift(part_d.view(np.uint64), b, out=key)
-        key <<= b
-        key |= np.arange(cols, dtype=np.uint64)
-        key.sort(axis=1)
-        key &= (1 << b) - 1  # the key buffer now holds the order
-        # gather by flat index straight into sorted_d; mode="clip" (every
-        # index is in range) keeps take from buffering its output
-        offsets = np.arange(hi - lo)[:, None] * cols
-        part += offsets
-        np.take(part_d.reshape(-1), part, out=out, mode="clip")
-        part -= offsets
-        redo = np.flatnonzero((out[:, 1:] < out[:, :-1]).any(axis=1) | np.signbit(out[:, -1]))
-        if redo.size:
-            part[redo] = np.argsort(part_d[redo], axis=1, kind="stable")
-            out[redo] = np.take_along_axis(part_d[redo], part[redo], axis=1)
-
-    _over_row_chunks(rows, d.size * cols.bit_length(), chunk)
+    key = order.view(np.uint64)
+    np.right_shift(d.view(np.uint64), b, out=key)
+    key <<= b
+    key |= np.arange(cols, dtype=np.uint64)
+    key.sort(axis=1)
+    key &= (1 << b) - 1  # the key buffer now holds the order
+    # gather by flat index straight into sorted_d; mode="clip" (every
+    # index is in range) keeps take from buffering its output
+    offsets = np.arange(rows)[:, None] * cols
+    order += offsets
+    np.take(d.reshape(-1), order, out=sorted_d, mode="clip")
+    order -= offsets
+    for r in np.flatnonzero((sorted_d[:, 1:] < sorted_d[:, :-1]).any(axis=1)
+                            | np.signbit(sorted_d[:, -1])):
+        order[r] = np.argsort(d[r], kind="stable")
+        sorted_d[r] = d[r, order[r]]
     return order, sorted_d
 
 
@@ -219,9 +165,10 @@ def build_sorted_matrix(dataset, folds, metric="euclidean", *, rows):
         dist[fold_of == row_folds[:, None]] = np.nan
     order, distances = sort_rows(dist)
     del dist
-    sources, distances = cols.astype(np.int32)[order[:, :m]], distances[:, :m]
+    order, distances = order[:, :m], distances[:, :m]
+    # both gathers index by the intp order, not by an int32 copy of it
+    sources, labels = cols.astype(np.int32)[order], dataset.labels[cols].astype(np.int32)[order]
     del order
-    labels = dataset.labels.astype(np.int32)[sources]
     t_sort = time.perf_counter() - t1
 
     return SortedDistanceMatrix(

@@ -13,6 +13,7 @@ exist at once.
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,11 +42,12 @@ FIXED_BYTES = 1 << 16
 CURVE_POINT_BYTES = 512
 SELECT_CHUNK_BYTES = 1 << 20  # select_k's float64 copy of some tally rows (one row at least)
 
-# Cap on one build block (_row_bytes) plus one label panel (_panel_row_bytes).
-# PANEL_SHARE of it holds the panel: at n=6000 (f=5, s=3) 3360 rows, so the
-# per-k loop runs twice, and the build blocks get the rest, 172 rows. A
-# shadow_min panel row costs 9 bytes a depth, not 1, and its panel still
-# holds two build blocks or more (605 and 279 rows in 3000-row LOOCV).
+# Cap on the build blocks in flight (_row_bytes) plus one label panel
+# (_panel_row_bytes). PANEL_SHARE of it holds the panel: at n=6000 (f=5,
+# s=3) 3360 rows, so the per-k loop runs twice, and the build blocks share
+# the rest, 86 rows each for two workers. A shadow_min panel row costs 9
+# bytes a depth, not 1, and its panel still holds four build blocks or more
+# (605 and 138 rows in 3000-row LOOCV on two workers).
 BLOCK_BYTES = 48 << 20
 PANEL_SHARE = 1 / 3
 # Depths whose hits sweep adds into the tally at once: the hits and their
@@ -134,9 +136,10 @@ class LabelPanel:
 
     labels[k-1, j] is the label of row rows[j]'s k-th nearest cross-fold
     neighbour, in label_type(s); under shadow_min, distances[k-1, j] is its
-    distance (else distances is None). pack appends a built block's rows,
-    and sweep votes the packed rows, overwriting their labels, and empties
-    the panel for the next blocks.
+    distance (else distances is None). reserve claims the next free
+    columns for a block's rows and pack fills them from the built block;
+    sweep votes the packed rows, overwriting their labels, and empties the
+    panel for the next blocks.
     """
 
     def __init__(self, width, k_max, s, policy="smallest_code"):
@@ -151,22 +154,35 @@ class LabelPanel:
         """Rows that can still be packed."""
         return self.rows.size - self.size
 
-    def pack(self, block):
-        """Copy a built block's rows, to depth k_max, into the next free columns.
+    def reserve(self, rows):
+        """Claim the next free columns for `rows`, in order; returns the first.
 
-        A block with more rows than room or fewer than k_max neighbours a
-        row raises InconsistentInputs.
+        More rows than room raise InconsistentInputs.
         """
-        k_max, b, lo = self.labels.shape[0], block.rows.size, self.size
-        if b > self.room or block.labels.shape[1] < k_max:
-            raise InconsistentInputs(f"a block of {b} rows and {block.labels.shape[1]} neighbours "
-                                     f"does not fit {self.room} free rows of depth {k_max}")
+        b, lo = len(rows), self.size
+        if b > self.room:
+            raise InconsistentInputs(f"{b} rows do not fit {self.room} free rows")
+        self.rows[lo:lo + b] = rows
+        self.size += b
+        return lo
+
+    def pack(self, block, lo):
+        """Copy a built block's rows, to depth k_max, into the columns reserved for them at lo.
+
+        Packs into distinct reservations may run on several threads at
+        once. A block with fewer than k_max neighbours a row, or with other
+        rows than those reserved at lo, raises InconsistentInputs.
+        """
+        k_max, b = self.labels.shape[0], block.rows.size
+        if block.labels.shape[1] < k_max:
+            raise InconsistentInputs(f"a block of {block.labels.shape[1]} neighbours "
+                                     f"does not reach depth {k_max}")
+        if not np.array_equal(self.rows[lo:lo + b], block.rows):
+            raise InconsistentInputs(f"the block's rows are not the ones reserved at column {lo}")
         # narrow first: a one-byte transposed copy is the cheap one
         self.labels[:, lo:lo + b] = block.labels[:, :k_max].astype(self.labels.dtype).T
         if self.distances is not None:
             self.distances[:, lo:lo + b] = block.distances[:, :k_max].T
-        self.rows[lo:lo + b] = block.rows
-        self.size += b
 
 
 def sweep(panel, folds, truth, policy="smallest_code", correct=None):
@@ -228,11 +244,20 @@ def dataset_bytes(n, d):
     return 16 * n * d + 64 * n
 
 
-class RowBlocks:
-    """Build blocks of a blocked sweep (iterate it) and the rows of the panel they fill."""
+def _worker_count():
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    def __init__(self, folds, panel_rows, rows_per_block):
+
+class RowBlocks:
+    """Build blocks of a blocked sweep (iterate it), the rows of the panel they
+    fill and the number of blocks that may be built at once."""
+
+    def __init__(self, folds, panel_rows, rows_per_block, workers):
         self.folds, self.panel_rows, self.rows_per_block = folds, panel_rows, rows_per_block
+        self.workers = workers
 
     def __iter__(self):
         return _row_blocks(self.folds, self.rows_per_block)
@@ -243,10 +268,14 @@ def row_blocks(dataset, folds, memory_budget=DEFAULT_MEMORY_BUDGET, policy="smal
 
     The only place a run's memory is priced. The budget bounds the tally
     (tally_type), select_k's float64 chunk of it and its curve, copies of
-    the features (dataset_bytes), one build block (_row_bytes) and one
-    LabelPanel with its vote (_panel_row_bytes), whose charge depends on the
-    tie policy; the block and the panel are further capped at BLOCK_BYTES,
-    PANEL_SHARE of which holds the panel. Returns a RowBlocks: iterating it
+    the features (dataset_bytes), `workers` build blocks in flight
+    (_row_bytes), the gathers of their columns (_gather_bytes) beyond the
+    one dataset_bytes holds, and one LabelPanel with its vote
+    (_panel_row_bytes), whose charge depends on the tie policy; the blocks,
+    their gathers and the panel are further capped at BLOCK_BYTES,
+    PANEL_SHARE of which holds the panel. workers is one per CPU
+    (_worker_count), or fewer when the rest of the cap does not hold a row
+    of each and the further gathers. Returns a RowBlocks: iterating it
     gives blocks in _row_blocks order, each of rows of one fold size and
     none wider than panel_rows. Raises MemoryBudgetExceeded only when one
     build row and one panel row do not fit.
@@ -267,10 +296,15 @@ def row_blocks(dataset, folds, memory_budget=DEFAULT_MEMORY_BUDGET, policy="smal
     cap = min(BLOCK_BYTES, memory_budget - fixed)
     # the panel takes its share of the cap, and leaves room for one build row
     width = min(n, max(1, min(int(cap * PANEL_SHARE), cap - build) // panel))
+    # the builds in flight share the rest; dataset_bytes' copy of the
+    # features is one build's gather, and each further build is charged its own
+    room, gather = cap - width * panel, _gather_bytes(n, d)
+    workers = min(_worker_count(), max(1, 1 + (room - build) // (build + gather)))
+    room -= (workers - 1) * gather
     # blocks are made as they are used, as a list of n one-row blocks would
     # outgrow the budget
     return RowBlocks(folds, width,
-                     lambda m: min(width, max(1, (cap - width * panel) // _row_bytes(m, d))))
+                     lambda m: min(width, max(1, room // (workers * _row_bytes(m, d)))), workers)
 
 
 def _row_bytes(m, d):
@@ -280,6 +314,13 @@ def _row_bytes(m, d):
     fits in the same SORT_CELL_BYTES a column.
     """
     return SORT_CELL_BYTES * m + 8 * d + 128
+
+
+def _gather_bytes(n, d):
+    """Upper bound of the bytes a build holds whatever its rows: the features
+    of its columns (all n in a block that spans folds), and their indices
+    and labels."""
+    return 8 * (d + 4) * n
 
 
 def _panel_row_bytes(k_max, s, policy, tally):

@@ -41,5 +41,5 @@ def panel_of(fa, s, *blocks, policy="smallest_code"):
     """A LabelPanel just wide enough for the built blocks, packed in order."""
     panel = LabelPanel(sum(b.rows.size for b in blocks), fa.k_max, s, policy)
     for block in blocks:
-        panel.pack(block)
+        panel.pack(block, panel.reserve(block.rows))
     return panel

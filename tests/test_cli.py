@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import json
 import re
 import time
@@ -8,8 +10,10 @@ from knnsweep import cli
 from knnsweep.cli import main
 from knnsweep.dataset import generate_synthetic, stratified_folds
 from knnsweep.distance import estimate_footprint
-from knnsweep.errors import MemoryBudgetExceeded
+from knnsweep.errors import InconsistentInputs, MemoryBudgetExceeded
 from knnsweep.sweep import row_blocks
+
+sweep_module = importlib.import_module("knnsweep.sweep")
 
 TOY_CSV = "x,label\n0,A\n1,A\n2,B\n10,B\n"
 
@@ -156,6 +160,24 @@ class TestOptimize:
                 assert hasattr(result, attr), attr
             assert len(result.valid_len) == len(result.distances) == result.n
             assert set(result.build_seconds) == {"distance", "sort"}
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_failing_build_task_exit_code(self, monkeypatch, capsys, count):
+        # a build that raises on a pool thread exits as it would on one thread
+        real, calls = cli.build_sorted_matrix, itertools.count(1)
+
+        def third_fails(*args, **kwargs):
+            if next(calls) == 3:  # one atomic step, whichever thread calls
+                raise InconsistentInputs("the third block")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_sorted_matrix", third_fails)
+        monkeypatch.setattr(sweep_module, "_worker_count", lambda: count)
+        assert run(["optimize", "--synthetic", "60,3,3,0.8", "--folds", "5",
+                    "--memory-budget", "117000"]) == 13  # InconsistentInputs
+        assert "the third block" in capsys.readouterr().err
+        builds = next(calls) - 1
+        assert 3 <= builds <= 2 + count  # a build already in flight may finish
 
     def test_curve_written_before_the_report(self, tmp_path, capsys):
         # a curve that cannot be written fails the call before any report exists

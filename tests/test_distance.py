@@ -1,7 +1,5 @@
 import importlib
 import math
-import sys
-import time
 import tracemalloc
 from unittest import mock
 
@@ -11,8 +9,6 @@ import pytest
 from knnsweep.dataset import Dataset, FoldAssignment, generate_synthetic, stratified_folds
 from knnsweep.distance import (
     ENTRY_BYTES,
-    METRICS,
-    PARALLEL_WORK,
     SORT_CELL_BYTES,
     build_sorted_matrix,
     distance_matrix,
@@ -131,7 +127,7 @@ class TestBuildSortedMatrix:
         (600, 3, True, 600),    # LOOCV, every row tied: one block spanning every fold
         (1000, 3, False, None),  # 90/10 folds: one block per fold
         (500, 48, False, 5),
-        (1500, 8, False, 5),    # cdist and sort above PARALLEL_WORK: threaded
+        (1500, 8, False, 5),
     ])
     def test_traced_peak_within_budget(self, n, d, integer, f):
         # each block holds the rows of one fold size, one fold or several
@@ -209,89 +205,6 @@ class TestBuildSortedMatrix:
         np.testing.assert_array_equal(a.sources, b.sources)
 
 
-def workers(count):
-    return mock.patch.object(distance_module, "_worker_count", return_value=count)
-
-
-def counted_pool():
-    return mock.patch.object(distance_module, "ThreadPoolExecutor",
-                             wraps=distance_module.ThreadPoolExecutor)
-
-
-def distances_and_order(a, b, metric):
-    d = distance_matrix(a, b, metric)
-    return (d,) + sort_rows(d)
-
-
-class TestThreadedRowChunks:
-    """distance_matrix and sort_rows above PARALLEL_WORK, on a thread pool."""
-
-    @pytest.mark.parametrize("metric", METRICS)
-    @pytest.mark.parametrize("integer", [False, True])
-    def test_equals_one_worker_and_stable_argsort(self, metric, integer):
-        rng = np.random.default_rng(7)
-        a, b = rng.normal(size=(400, 16)), rng.normal(size=(2500, 16))
-        if integer:  # small integer coordinates: every row has tied distances
-            a, b = np.round(a), np.round(b)
-        assert min(400 * 2500 * 16, 400 * 2500 * (2500).bit_length()) >= PARALLEL_WORK
-        with counted_pool() as pool:
-            threaded = distances_and_order(a, b, metric)
-        assert pool.call_count == 2
-        with workers(1), counted_pool() as pool:
-            serial = distances_and_order(a, b, metric)
-        assert pool.call_count == 0
-        for got, want in zip(threaded, serial):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        d, order, sorted_d = threaded
-        expected = np.argsort(d, axis=1, kind="stable")
-        np.testing.assert_array_equal(order, expected)
-        assert sorted_d.tobytes() == np.take_along_axis(d, expected, axis=1).tobytes()
-        if integer:
-            assert (sorted_d[:, 1:] == sorted_d[:, :-1]).any(axis=1).all()
-
-    def test_loocv_rows_span_folds(self):
-        ds = generate_synthetic(1200, 8, 3, 1.0, seed=4)
-        ds = Dataset(features=np.round(ds.features), labels=ds.labels, s=ds.s,
-                     class_names=ds.class_names)
-        fa = stratified_folds(ds, ds.n, seed=4)
-        rows = np.arange(ds.n)
-        with counted_pool() as pool:
-            threaded = build_sorted_matrix(ds, fa, "manhattan", rows=rows)
-        assert pool.call_count == 2
-        with workers(1):
-            serial = build_sorted_matrix(ds, fa, "manhattan", rows=rows)
-        for name in ("distances", "labels", "sources"):
-            np.testing.assert_array_equal(getattr(threaded, name), getattr(serial, name))
-
-    def test_stress_more_workers_than_cores(self):
-        rng = np.random.default_rng(11)
-        a, b = np.round(rng.normal(size=(400, 20))), np.round(rng.normal(size=(2000, 20)))
-        with workers(1):
-            serial = distances_and_order(a, b, "chebyshev")
-        interval = sys.getswitchinterval()
-        deadline = time.monotonic() + 5.0
-        rounds = 0
-        sys.setswitchinterval(1e-6)
-        try:
-            with workers(8), counted_pool() as pool:
-                while rounds < 10 and (rounds == 0 or time.monotonic() < deadline):
-                    for got, want in zip(distances_and_order(a, b, "chebyshev"), serial):
-                        assert got.tobytes() == want.tobytes()
-                    rounds += 1
-        finally:
-            sys.setswitchinterval(interval)
-        assert pool.call_count == 2 * rounds
-        assert all(call.kwargs["max_workers"] == 8 for call in pool.call_args_list)
-
-    def test_small_calls_stay_on_the_calling_thread(self):
-        rng = np.random.default_rng(5)
-        with counted_pool() as pool:
-            distances_and_order(rng.normal(size=(1, 4)), rng.normal(size=(5000, 4)), "euclidean")
-            distances_and_order(rng.normal(size=(240, 4)), rng.normal(size=(4800, 4)), "euclidean")
-        # the second sort (240 * 4800 * 13 operations) is the one pool
-        assert pool.call_count == 1
-
-
 def assert_sorts_like_stable_argsort(d):
     order, sorted_d = sort_rows(d)
     expected = np.argsort(d, axis=1, kind="stable")
@@ -331,16 +244,6 @@ class TestSortRows:
         d = ulp_rows(np.random.default_rng(300), 60, 300)
         kept = d.view(np.uint64) >> (299).bit_length()
         assert all(np.unique(kept[r]).size < np.unique(d[r]).size for r in range(60))
-
-    def test_above_parallel_work(self):
-        rng = np.random.default_rng(9)
-        d = ulp_rows(rng, 400, 2500)
-        d[::3] = rng.choice([0.0, -0.0, 1.0, np.inf], size=d[::3].shape)
-        d[1::3] = np.round(d[1::3] * 4)
-        assert d.size * (2500).bit_length() >= PARALLEL_WORK
-        with counted_pool() as pool:
-            assert_sorts_like_stable_argsort(d)
-        assert pool.call_count == 1
 
 
 class TestEstimateFootprint:

@@ -7,6 +7,8 @@ that span folds.
 """
 
 import importlib
+import sys
+import time
 import tracemalloc
 import warnings
 from unittest import mock
@@ -23,10 +25,15 @@ from knnsweep.dataset import Dataset, FoldAssignment, generate_synthetic, strati
 from knnsweep.distance import METRICS, build_sorted_matrix, sort_rows
 from knnsweep.errors import InconsistentFolds, InconsistentInputs, MemoryBudgetExceeded
 from knnsweep.oracle import FoldDistanceCache, cross_validate
-from knnsweep.sweep import (TIE_POLICIES, LabelPanel, _panel_row_bytes, _row_blocks, _row_bytes,
-                            label_type, row_blocks, select_k, sweep, tally_type)
+from knnsweep.sweep import (TIE_POLICIES, LabelPanel, _gather_bytes, _panel_row_bytes, _row_blocks,
+                            _row_bytes, label_type, row_blocks, select_k, sweep, tally_type)
 
 sweep_module = importlib.import_module("knnsweep.sweep")
+
+
+def workers(count):
+    """Patch the CPU count row_blocks sizes the build pool by."""
+    return mock.patch.object(sweep_module, "_worker_count", return_value=count)
 
 
 def min_budget(ds, fa, metric="euclidean", policy="smallest_code"):
@@ -148,28 +155,51 @@ def test_blocks_one_row_and_spanning():
     # LOOCV below numpy's 8192-element ufunc buffer size, where a mixed-type
     # divide in select_k held cast buffers of 16 bytes a tally cell
     (91, 3, 3, 91, "euclidean", "smallest_code"),
-    # at scale 4 one block of every row: its cdist and sort pass
-    # PARALLEL_WORK and run on the thread pool
+    # at scale 4 one block of every row
     (1000, 1500, 2, 2, "euclidean", "smallest_code"),
     # LOOCV whose 2.7 MiB float copy of the tally spans three select_k chunks
     (600, 3, 3, 600, "euclidean", "smallest_code"),
 ])
 @pytest.mark.parametrize("scale", [1, 4])
 def test_traced_peak_within_budget(n, d, s, f, metric, policy, scale):
-    # the budget covers the whole run: the blocks, the tally and select_k
+    # the budget covers the whole run: the blocks built at once, the tally
+    # and select_k; two workers build concurrently whatever the CPU count
     ds = generate_synthetic(n, d, s, 1.0, seed=n)
     if s == 20:  # integer features: every row has tied distances
         ds = Dataset(features=np.round(ds.features), labels=ds.labels, s=s,
                      class_names=ds.class_names)
     fa = stratified_folds(ds, f, seed=n)
-    budget = min_budget(ds, fa, metric, policy) * scale
+    with workers(2):
+        budget = min_budget(ds, fa, metric, policy) * scale
+        assert row_blocks(ds, fa, budget, policy).workers == (1 if scale == 1 else 2)
+        assert_traced_peak_within(budget, ds, fa, metric, policy)
+
+
+@pytest.mark.parametrize("n,d,f,metric,scale", [
+    (600, 512, 10, "manhattan", 2),
+    (200, 512, 200, "euclidean", 1.5),  # LOOCV: every build gathers all n rows
+])
+def test_traced_peak_within_budget_with_wide_gathers(n, d, f, metric, scale):
+    # at d=512 a build's gather of its columns' features outweighs its rows,
+    # and up to four builds run at once, each with its own gather
+    ds = generate_synthetic(n, d, 3, 1.0, seed=n)
+    fa = stratified_folds(ds, f, seed=n)
+    with workers(4):
+        budget = int(min_budget(ds, fa, metric) * scale)
+        assert row_blocks(ds, fa, budget).workers > 1
+        assert_traced_peak_within(budget, ds, fa, metric, "smallest_code")
+
+
+def assert_traced_peak_within(budget, ds, fa, metric, policy):
+    """The tracemalloc peak of select_k(blocked_sweep(...)[0]) fits the budget
+    less the features, which it charges and which exist before tracing."""
     tracemalloc.start()
     try:
         select_k(blocked_sweep(ds, fa, metric, policy, memory_budget=budget)[0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= budget
+    assert peak <= budget - ds.features.nbytes
 
 
 @pytest.mark.parametrize("policy", TIE_POLICIES)
@@ -258,12 +288,100 @@ def test_block_cap_below_one_row_still_runs(toy):
     assert acc.correct.tolist() == [[1, 2], [1, 1]]
 
 
+def test_budget_of_one_build_row_builds_one_block_at_once():
+    ds, fa = make_instance(60, 2, 3, True, "stratified", 4, seed=3)
+    with workers(2):
+        budget = min_budget(ds, fa)
+        assert row_blocks(ds, fa, budget).workers == 1
+        acc, _ = blocked_sweep(ds, fa, memory_budget=budget)
+        assert_equals_oracle(acc, ds, fa, "euclidean", "smallest_code")
+        # the panel takes a third of what the budget adds: room for a second
+        # build row but not its gather stays one at once, room for both two
+        build = _row_bytes(ds.n - int(fa.fold_sizes.min()), ds.d)
+        assert row_blocks(ds, fa, budget + 2 * build).workers == 1
+        assert row_blocks(ds, fa, budget + 2 * (build + _gather_bytes(ds.n, ds.d))).workers == 2
+
+
+def many_blocks(ds, fa, block_rows, count=2):
+    """Patch BLOCK_BYTES so that a panel takes a third of it and the rest
+    holds `count` build blocks in flight, each of block_rows rows of the
+    widest build, and the gathers of all but the first."""
+    row = _row_bytes(ds.n - int(fa.fold_sizes.min()), ds.d)
+    room = count * block_rows * row + (count - 1) * _gather_bytes(ds.n, ds.d)
+    return mock.patch.object(sweep_module, "BLOCK_BYTES", (3 * room + 1) // 2)
+
+
+@pytest.mark.parametrize("policy", TIE_POLICIES)
+@pytest.mark.parametrize("instance", [
+    # LOOCV: blocks of a few rows span folds
+    lambda: make_instance(120, 2, 4, True, "loocv", 0, seed=10),
+    # folds of 26 and 25 rows
+    lambda: make_instance(102, 3, 3, True, "stratified", 4, seed=11),
+    # 300 classes: a uint16 panel
+    lambda: make_instance(330, 2, 300, False, "stratified", 3, seed=12),
+], ids=["loocv", "unequal_folds", "s300"])
+def test_worker_counts_give_one_tally(instance, policy):
+    ds, fa = instance()
+    tallies = []
+    for count in (1, 2, 3):
+        with workers(count), many_blocks(ds, fa, 3, count=3):
+            blocks = row_blocks(ds, fa, policy=policy)
+            assert blocks.workers == count and len(list(blocks)) > 3 * count
+            acc, _ = blocked_sweep(ds, fa, "chebyshev", policy)
+        tallies.append(acc.correct)
+    for tally in tallies[1:]:
+        assert tally.dtype == tallies[0].dtype and tally.tobytes() == tallies[0].tobytes()
+    assert_equals_oracle(acc, ds, fa, "chebyshev", policy)
+
+
+def test_one_pool_per_call():
+    ds, fa = make_instance(90, 2, 3, False, "stratified", 5, seed=4)
+    with workers(2), many_blocks(ds, fa, 2), \
+            mock.patch.object(cli, "ThreadPoolExecutor", wraps=cli.ThreadPoolExecutor) as pool:
+        assert len(list(row_blocks(ds, fa))) > 4
+        for calls in (1, 2):
+            blocked_sweep(ds, fa)
+            assert pool.call_count == calls
+    assert [call.args for call in pool.call_args_list] == [(2,), (2,)]
+
+
+def test_stress_more_workers_than_cores():
+    # eight workers on one-row blocks, switching threads every microsecond:
+    # a lost reservation or a pack into another block's columns changes the tally
+    ds, fa = make_instance(120, 2, 4, True, "loocv", 0, seed=13)
+    with workers(1):
+        serial = blocked_sweep(ds, fa, "manhattan", "shadow_min")[0].correct.tobytes()
+    interval = sys.getswitchinterval()
+    deadline = time.monotonic() + 5.0
+    rounds = 0
+    sys.setswitchinterval(1e-6)
+    try:
+        with workers(8), many_blocks(ds, fa, 1, count=8):
+            blocks = row_blocks(ds, fa, policy="shadow_min")
+            assert blocks.workers == 8 and len(list(blocks)) > 8 * 8
+            while rounds < 10 and (rounds == 0 or time.monotonic() < deadline):
+                acc, _ = blocked_sweep(ds, fa, "manhattan", "shadow_min")
+                assert acc.correct.tobytes() == serial
+                rounds += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert rounds >= 1
+
+
 def test_seconds_cover_the_call(toy):
     ds, fa = toy
     _, seconds = blocked_sweep(ds, fa)
     assert list(seconds) == ["distance", "sort", "sweep", "total"]
     phases = seconds["distance"] + seconds["sort"] + seconds["sweep"]
     assert 0 <= phases <= seconds["total"]
+    # many blocks, two built at once: their own build times overlap, and
+    # the phases are this thread's waits and votes
+    ds, fa = make_instance(400, 3, 3, False, "stratified", 5, seed=5)
+    with workers(2), many_blocks(ds, fa, 8):
+        _, seconds = blocked_sweep(ds, fa)
+    assert list(seconds) == ["distance", "sort", "sweep", "total"]
+    phases = seconds["distance"] + seconds["sort"] + seconds["sweep"]
+    assert min(seconds.values()) > 0 and phases <= seconds["total"]
 
 
 def test_inconsistent_folds(toy):
@@ -347,7 +465,15 @@ def test_block_inputs_checked(toy):
         sweep(LabelPanel(2, fa.k_max, ds.s), fa, ds.labels)
     for panel in (LabelPanel(1, fa.k_max, ds.s), LabelPanel(2, fa.k_max + 1, ds.s)):
         with pytest.raises(InconsistentInputs):  # too few free rows, or neighbours
-            panel.pack(block)
+            panel.pack(block, panel.reserve(block.rows))
+    panel = LabelPanel(3, fa.k_max, ds.s)
+    with pytest.raises(InconsistentInputs):  # more rows than room
+        panel.reserve([0, 1, 2, 3])
+    assert (panel.reserve([1]), panel.reserve([0, 1])) == (0, 1)
+    for lo in (0, 2):  # the rows reserved there are [1, 0] and [1]
+        with pytest.raises(InconsistentInputs):
+            panel.pack(block, lo)
+    panel.pack(block, 1)
     panel = panel_of(fa, ds.s, block)
     with pytest.raises(InconsistentInputs):
         sweep(panel, fa, ds.labels, correct=np.zeros((fa.k_max + 1, fa.f), dtype=np.int64))
