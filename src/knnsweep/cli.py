@@ -3,9 +3,10 @@
 It parses and prints only: argparse refuses bad usage (exit 2), the library
 checks each value it uses and main returns its error's exit code, and a
 report goes to its output file or else alone on stdout. Timings wrap the
-core computation only (distance, sort, sweep phases and their total, or the
-naive total); file I/O and parsing sit outside every timed region. A mode
-runs once per call, and its report's `timing` holds that run's phases.
+core computation only (distance, sort, sweep and select phases and their
+total, or the naive total); file I/O and parsing sit outside every timed
+region. A mode runs once per call, and its report's `timing` holds that
+run's phases.
 """
 
 import argparse
@@ -125,7 +126,12 @@ def run_mode(mode, dataset, folds, args):
     if mode == "sweep":
         acc, seconds = blocked_sweep(dataset, folds, args.metric, args.tie_policy,
                                      args.memory_budget)
-        return select_k(acc, timing=seconds)
+        t0 = time.perf_counter()
+        report = select_k(acc)
+        select = time.perf_counter() - t0
+        total = seconds.pop("total") + select
+        report.timing.update(seconds, select=select, total=total)
+        return report
     schedule = (full_schedule(folds.k_max) if mode == "naive-full"
                 else logarithmic_schedule(folds.k_max))
     return naive_search(dataset, folds, schedule, args.metric, args.tie_policy)

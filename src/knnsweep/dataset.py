@@ -120,6 +120,9 @@ def load_csv(path, label_column):
     label_column is a header name or a 0-based column index. Labels are
     integer-encoded in order of first appearance; feature cells must parse
     as finite floats. Unreadable paths raise IoError, non-UTF-8 bytes ParseError.
+    Plain files are parsed by numpy's C reader (_parse_fast); any other file,
+    and every error, goes through the per-cell float() loop, and both give
+    the same values.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -146,33 +149,38 @@ def load_csv(path, label_column):
             if not feature_cols:
                 raise EmptyDataset(f"{path}: no feature columns")
 
-            rows = []
-            raw_labels = []
-            for rownum, record in enumerate(reader, start=1):
-                if len(record) != len(header):
-                    raise ParseError(rownum, "<row>", f"expected {len(header)} fields, got {len(record)}")
-                label = record[label_idx].strip()
-                if not label:
-                    raise ParseError(rownum, header[label_idx], "empty label")
-                vals = []
-                for c in feature_cols:
-                    cell = record[c].strip()
-                    try:
-                        v = float(cell)
-                    except ValueError:
-                        raise ParseError(rownum, header[c], f"cannot parse {cell!r} as a real number")
-                    if not math.isfinite(v):
-                        raise NonFiniteFeature(rownum, header[c])
-                    vals.append(v)
-                rows.append(np.array(vals))  # 8 bytes a cell, not a Python float's 32
-                raw_labels.append(label)
+            parsed = _parse_fast(path, len(header), label_idx, feature_cols)
+            if parsed is not None:
+                features, raw_labels = parsed
+            else:  # the per-cell loop decides, and alone raises every error
+                rows = []
+                raw_labels = []
+                for rownum, record in enumerate(reader, start=1):
+                    if len(record) != len(header):
+                        raise ParseError(rownum, "<row>", f"expected {len(header)} fields, got {len(record)}")
+                    label = record[label_idx].strip()
+                    if not label:
+                        raise ParseError(rownum, header[label_idx], "empty label")
+                    vals = []
+                    for c in feature_cols:
+                        cell = record[c].strip()
+                        try:
+                            v = float(cell)
+                        except ValueError:
+                            raise ParseError(rownum, header[c], f"cannot parse {cell!r} as a real number")
+                        if not math.isfinite(v):
+                            raise NonFiniteFeature(rownum, header[c])
+                        vals.append(v)
+                    rows.append(np.array(vals))  # 8 bytes a cell, not a Python float's 32
+                    raw_labels.append(label)
+                features = np.asarray(rows, dtype=np.float64)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(_undecodable_line(path), "<file>", f"not UTF-8 ({exc.reason})") from exc
 
-    if len(rows) < 2:
-        raise EmptyDataset(f"{path}: need at least 2 data rows, got {len(rows)}")
+    if len(raw_labels) < 2:
+        raise EmptyDataset(f"{path}: need at least 2 data rows, got {len(raw_labels)}")
 
     code_of = {}  # label -> code, in order of first appearance
     codes = np.array([code_of.setdefault(name, len(code_of)) for name in raw_labels],
@@ -181,9 +189,44 @@ def load_csv(path, label_column):
     if len(class_names) < 2:
         raise SingleClass(f"{path}: only one distinct label {class_names[0]!r}")
 
-    features = np.asarray(rows, dtype=np.float64)
     return Dataset(features=features, labels=codes, s=len(class_names),
                    class_names=class_names)
+
+
+def _parse_fast(path, width, label_idx, feature_cols):
+    """(features, labels) by numpy's C reader, or None if the per-cell loop must decide.
+
+    Every data line must hold exactly width - 1 commas and no quote, end in
+    \n, \r\n or the end of the file, and have a label that is not blank;
+    loadtxt must then give one finite row per line. Its parser is the
+    correctly rounded one behind float(), and it refuses what float() alone
+    accepts (1_0, non-ASCII digits), so the values agree bit for bit. The
+    file is streamed, never held as one string.
+    """
+    before, after = label_idx, width - 1 - label_idx  # fields around the label
+    labels = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            if fh.readline().endswith("\r"):  # a lone \r: csv's line rules decide
+                return None
+            for line in fh:
+                if line.endswith("\r") or line.count(",") != width - 1 or '"' in line:
+                    return None
+                # split off the label from the nearer end, not all the fields
+                label = (line.split(",", before + 1)[before] if before <= after
+                         else line.rsplit(",", after + 1)[1]).strip()
+                if not label:
+                    return None
+                labels.append(label)
+        if len(labels) < 2:
+            return None
+        features = np.loadtxt(path, delimiter=",", skiprows=1, usecols=feature_cols,
+                              comments=None, ndmin=2, encoding="utf-8")
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if features.shape != (len(labels), width - 1) or not np.isfinite(features).all():
+        return None
+    return features, labels
 
 
 def _undecodable_line(path):

@@ -26,6 +26,10 @@ ENTRY_BYTES = 16
 SORT_CELL_BYTES = 40
 ROW_OVERHEAD = 16
 BASE_OVERHEAD = 256
+# Bytes of column features a build gathers at once: its distances are
+# computed one tile of columns at a time, so the gather stays in the L2
+# cache while every row of the block streams over it
+TILE_BYTES = 1 << 20
 
 
 def check_metric(metric):
@@ -85,6 +89,11 @@ def sort_rows(d):
     return order, sorted_d
 
 
+def tile_columns(d):
+    """Columns of d features in one distance tile of build_sorted_matrix (at least 1)."""
+    return max(1, TILE_BYTES // (8 * d))
+
+
 def estimate_footprint(n, f):
     """Bytes the stored neighbour lists of all n rows would take at once.
 
@@ -131,13 +140,14 @@ def build_sorted_matrix(dataset, folds, metric="euclidean", *, rows):
     sweep.row_blocks does), else InconsistentInputs. Same-fold pairs and the
     diagonal are dropped entirely. Ties on distance are broken by source
     index ascending, which makes every row fully deterministic. One
-    distance_matrix and one sort_rows call serve all the rows: rows of one
+    distance matrix and one sort_rows call serve all the rows: rows of one
     fold take distances to that fold's complement; rows of several folds
     take all n columns, with their own fold's cells set to NaN, which sorts
     last, and keep their first n - fold size entries. Records wall-clock of
     the distance and sort phases (the label gather included) in
-    build_seconds. The build holds up to SORT_CELL_BYTES per distance cell;
-    sweep.row_blocks sizes the rows to fit a budget.
+    build_seconds. The build holds up to SORT_CELL_BYTES per distance cell,
+    and gathers the features of one tile of tile_columns(d) columns at a
+    time; sweep.row_blocks sizes the rows to fit a budget.
     """
     check_metric(metric)
     n = dataset.n
@@ -159,7 +169,13 @@ def build_sorted_matrix(dataset, folds, metric="euclidean", *, rows):
     cols = np.flatnonzero(fold_of != row_folds[0]) if one_fold else np.arange(n)
 
     t0 = time.perf_counter()
-    dist = distance_matrix(dataset.features[rows], dataset.features[cols], metric)
+    features, tile = dataset.features, tile_columns(dataset.d)
+    if tile >= cols.size:
+        dist = distance_matrix(features[rows], features[cols], metric)
+    else:  # each pair's value is cdist's, so the tiles equal one call bit for bit
+        block, dist = features[rows], np.empty((rows.size, cols.size))
+        for j in range(0, cols.size, tile):
+            dist[:, j:j + tile] = distance_matrix(block, features[cols[j:j + tile]], metric)
     t1 = time.perf_counter()
     if not one_fold:  # own-fold cells sort after every distance, inf included
         dist[fold_of == row_folds[:, None]] = np.nan

@@ -130,13 +130,14 @@ def naive_search(dataset, folds, schedule, metric="euclidean",
     """Run cross_validate over a whole schedule and assemble a report.
 
     Best-k selection follows the same rules as the sweep's select_k,
-    restricted to the scheduled k values.
+    restricted to the scheduled k values. timing holds one "total": the
+    cross-validation and the selection, like the sweep's total.
     """
     t0 = time.perf_counter()
     rows = [cross_validate(dataset, folds, k, metric, policy)
             for k in schedule.values]
-    elapsed = time.perf_counter() - t0
-
     acc = AccuracyMatrix(correct=np.vstack(rows), fold_sizes=folds.fold_sizes.copy(),
                          k_max=folds.k_max, f=folds.f)
-    return select_k(acc, evaluated_k=schedule.values, timing={"total": elapsed})
+    report = select_k(acc, evaluated_k=schedule.values)
+    report.timing["total"] = time.perf_counter() - t0  # select_k included, as in the sweep's
+    return report

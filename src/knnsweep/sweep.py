@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import SORT_CELL_BYTES
+from .distance import SORT_CELL_BYTES, tile_columns
 from .errors import (
     BadParams,
     EmptyNeighborhood,
@@ -240,8 +240,9 @@ def tally_type(folds):
 
 
 def dataset_bytes(n, d):
-    """Charge for the features and labels and their copies around the run."""
-    return 16 * n * d + 64 * n
+    """Charge for the features, and 32 bytes a row for the labels, the fold
+    indices and the row arrays the run derives from them."""
+    return 8 * n * d + 32 * n
 
 
 def _worker_count():
@@ -267,10 +268,10 @@ def row_blocks(dataset, folds, memory_budget=DEFAULT_MEMORY_BUDGET, policy="smal
     """Row index blocks for a blocked sweep and the width of the panel they fill.
 
     The only place a run's memory is priced. The budget bounds the tally
-    (tally_type), select_k's float64 chunk of it and its curve, copies of
-    the features (dataset_bytes), `workers` build blocks in flight
-    (_row_bytes), the gathers of their columns (_gather_bytes) beyond the
-    one dataset_bytes holds, and one LabelPanel with its vote
+    (tally_type), select_k's float64 chunk of it and its curve, the
+    features and labels (dataset_bytes), `workers` build blocks in flight
+    (_row_bytes) and the gathers of their columns (_gather_bytes, the
+    first of them outside the cap), and one LabelPanel with its vote
     (_panel_row_bytes), whose charge depends on the tie policy; the blocks,
     their gathers and the panel are further capped at BLOCK_BYTES,
     PANEL_SHARE of which holds the panel. workers is one per CPU
@@ -286,8 +287,9 @@ def row_blocks(dataset, folds, memory_budget=DEFAULT_MEMORY_BUDGET, policy="smal
     check_policy(policy)
     k_max, tally = folds.k_max, tally_type(folds)
     chunk = min(8 * k_max * f, max(SELECT_CHUNK_BYTES, 8 * f))  # one select_k float64 chunk
+    gather = _gather_bytes(n, d)
     fixed = (tally.itemsize * k_max * f + chunk + CURVE_POINT_BYTES * k_max
-             + dataset_bytes(n, d) + FIXED_BYTES)
+             + dataset_bytes(n, d) + gather + FIXED_BYTES)
     build = _row_bytes(n - int(folds.fold_sizes.min()), d)
     panel = _panel_row_bytes(k_max, s, policy, tally)
     required = fixed + build + panel
@@ -296,9 +298,9 @@ def row_blocks(dataset, folds, memory_budget=DEFAULT_MEMORY_BUDGET, policy="smal
     cap = min(BLOCK_BYTES, memory_budget - fixed)
     # the panel takes its share of the cap, and leaves room for one build row
     width = min(n, max(1, min(int(cap * PANEL_SHARE), cap - build) // panel))
-    # the builds in flight share the rest; dataset_bytes' copy of the
-    # features is one build's gather, and each further build is charged its own
-    room, gather = cap - width * panel, _gather_bytes(n, d)
+    # the builds in flight share the rest; fixed holds the first build's
+    # gather, and each further build is charged its own
+    room = cap - width * panel
     workers = min(_worker_count(), max(1, 1 + (room - build) // (build + gather)))
     room -= (workers - 1) * gather
     # blocks are made as they are used, as a list of n one-row blocks would
@@ -318,9 +320,9 @@ def _row_bytes(m, d):
 
 def _gather_bytes(n, d):
     """Upper bound of the bytes a build holds whatever its rows: the features
-    of its columns (all n in a block that spans folds), and their indices
-    and labels."""
-    return 8 * (d + 4) * n
+    of one tile of its columns (of up to n, all of them in a block that spans
+    folds), and the indices and labels of all its columns."""
+    return 8 * d * min(n, tile_columns(d)) + 32 * n
 
 
 def _panel_row_bytes(k_max, s, policy, tally):
@@ -431,7 +433,7 @@ def _vote(labels, dists, truth, s, policy):
     return truth
 
 
-def select_k(acc, evaluated_k=None, timing=None):
+def select_k(acc, evaluated_k=None):
     """Pick per-fold best k and the averaged k*.
 
     Per fold: the smallest k maximizing that fold's correct count. k* is the
@@ -472,8 +474,7 @@ def select_k(acc, evaluated_k=None, timing=None):
              for k, mean, std in zip(evaluated_k, means, stds)]
 
     return KSearchReport(best_k_per_fold=best_k_per_fold, k_star=k_star,
-                         curve=curve, evaluated_k=[int(k) for k in evaluated_k],
-                         timing=dict(timing or {}))
+                         curve=curve, evaluated_k=[int(k) for k in evaluated_k])
 
 
 def accuracy_curve_export(report, path):

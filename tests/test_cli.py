@@ -2,6 +2,7 @@ import importlib
 import itertools
 import json
 import re
+import sys
 import time
 
 import pytest
@@ -52,7 +53,9 @@ class TestOptimize:
         assert set(payload) == {"best_k_per_fold", "k_star", "curve",
                                 "evaluated_k", "timing"}
         assert 1 <= payload["k_star"] <= 2
-        assert list(payload["timing"]) == ["distance", "sort", "sweep", "total"]
+        timing = payload["timing"]
+        assert list(timing) == ["distance", "sort", "sweep", "select", "total"]
+        assert sum(timing.values()) - timing["total"] <= timing["total"]  # phases inside total
         stdout = capsys.readouterr().out.splitlines()
         assert stdout[0].startswith("k* =")
         assert [line.split(":")[0].strip() for line in stdout[1:]] == list(payload["timing"])
@@ -211,6 +214,20 @@ class TestOptimize:
             curves.append(curve)
         assert strip_timing(outs[0]) == strip_timing(outs[1])
         assert curves[0].read_bytes() == curves[1].read_bytes()
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
+    def test_distance_tiles_leave_the_report(self, tmp_path, monkeypatch, metric):
+        def report(name):
+            out = tmp_path / name
+            assert run(["optimize", "--synthetic", "150,6,3,1.0", "--folds", "4",
+                        "--metric", metric, "--output", str(out)]) == 0
+            text = out.read_text()
+            return text[:text.index('"timing"')]  # timing is the last key
+
+        whole = report("whole.json")
+        # tiles of 2 columns, against one cdist call a block at the default
+        monkeypatch.setattr(sys.modules["knnsweep.distance"], "TILE_BYTES", 8 * 6 * 2)
+        assert report("tiled.json") == whole
 
 
 class TestBench:

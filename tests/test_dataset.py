@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from knnsweep.errors import (
     InconsistentFolds,
     InconsistentInputs,
     IoError,
+    KnnSweepError,
     NonFiniteFeature,
     ParseError,
     SingleClass,
@@ -112,6 +116,118 @@ class TestLoadCsv:
         with pytest.raises(ParseError) as exc:
             load_csv(p, "label")
         assert exc.value.row == 2 * good_rows + 1
+
+
+def load_both_ways(path, label_column):
+    """load_csv's result or error with numpy's reader, then with the per-cell loop alone."""
+    dataset_module = sys.modules["knnsweep.dataset"]
+    outcomes = []
+    for fast in (dataset_module._parse_fast, lambda *args: None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset_module, "_parse_fast", fast)
+            try:
+                ds = load_csv(path, label_column)
+                outcomes.append((ds.features.shape, ds.features.view(np.uint64).tolist(),
+                                 ds.labels.tolist(), ds.class_names))
+            except KnnSweepError as exc:
+                outcomes.append((type(exc), getattr(exc, "row", None),
+                                 getattr(exc, "column", None), str(exc)))
+    return outcomes
+
+
+def fast_path(path, label_idx, width):
+    """_parse_fast's own answer for a file whose label column is label_idx."""
+    return sys.modules["knnsweep.dataset"]._parse_fast(
+        path, width, label_idx, [c for c in range(width) if c != label_idx])
+
+
+def _float_cell():
+    """Cells float() parses to a finite value, in the forms CSV writers use."""
+    value = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and -0.0 too
+    fmt = st.sampled_from([repr, "{:.17g}".format, "{:.3e}".format, "{:E}".format,
+                           "{:.6f}".format, lambda v: "+" + repr(abs(v))])
+    formatted = st.builds(lambda f, v: f(v), fmt, value)
+    leading_dot = st.integers(0, 10 ** 20).map(lambda i: f".{i}")  # .5
+    trailing_dot = st.integers(-10 ** 9, 10 ** 9).map(lambda i: f"{i}.")  # 5.
+    # more digits than a float holds: the rounding must agree
+    long_digits = st.builds(lambda a, b, e: f"{a}.{b}e{e}", st.integers(0, 10 ** 25),
+                            st.integers(0, 10 ** 25), st.integers(-340, 300))
+    named = st.sampled_from(["-0.0", "0", "5e-324", "-4.9e-324", "2.2250738585072009e-308",
+                             "1.7976931348623157e308", "1e-400"])
+    cell = st.one_of(formatted, leading_dot, trailing_dot, long_digits, named)
+    pad = st.text(st.sampled_from(" \t\xa0"), max_size=2)
+    return st.builds(lambda a, c, b: a + c + b, pad, cell.filter(lambda c: math.isfinite(float(c))),
+                     pad)
+
+
+@st.composite
+def clean_csv(draw):
+    """(text, label column, width): a CSV both parsers read, with its label column."""
+    d = draw(st.integers(1, 4))
+    width = d + 1
+    label_idx = draw(st.integers(0, d))
+    names = [f"x{j}" for j in range(d)]
+    names.insert(label_idx, "label")
+    n = draw(st.integers(2, 8))
+    # two classes at least, so every file is a valid dataset
+    labels = ["A", " b "] + draw(st.lists(st.sampled_from(["A", "\tc", "A1", "\xa0d"]),
+                                          min_size=n - 2, max_size=n - 2))
+    lines = [",".join(names)]
+    for label in labels:
+        cells = [draw(_float_cell()) for _ in range(d)]
+        cells.insert(label_idx, label)
+        lines.append(",".join(cells))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=n, max_size=n))
+    ends.append(draw(st.sampled_from(["", "\n", "\r\n"])))  # the last line may have no end
+    return "".join(line + end for line, end in zip(lines, ends)), label_idx, width
+
+
+class TestCsvFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(case=clean_csv(), by_name=st.booleans())
+    def test_equals_per_cell_loop(self, tmp_path_factory, case, by_name):
+        text, label_idx, width = case
+        p = tmp_path_factory.mktemp("csv") / "data.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert fast_path(p, label_idx, width) is not None  # the fast path was taken
+        fast, loop = load_both_ways(p, "label" if by_name else label_idx)
+        assert fast == loop
+
+    @pytest.mark.parametrize("text", [
+        "x,label\n0,A\n\n1,B\n",  # a blank line in the middle
+        "x,label\n0,A\n1,B\n\n",  # and at the end
+        "x,label\n0,A,\n1,B\n",  # a trailing comma
+        "x,y,label\n0,1,A\n2,B\n",  # a short row
+        "x,label\n0,A\n1,\n",  # an empty label
+        "x,label\n0,A\n1, \t\n",  # a blank one
+        "x,y,label\n0,,A\n1,2,B\n",  # an empty cell
+        "x,label\n1_0,A\n2,B\n",  # float() alone reads 10.0
+        "x,label\n\u0661\u0662,A\n2,B\n",  # and 12.0
+        "x,label\n0,A\nnan,B\n",
+        "x,label\ninf,A\n0,B\n",
+        "x,label\n0,A\n-inf,B\n",
+        "x,y,label\n0,1,A\n2,1e400,B\n",
+        "x,label\r0,A\r1,B\r",  # lone \r line ends
+        "x,label\n0,A\r1,B\n",
+        'x,label\n"1",A\n2,B\n',  # a quoted cell
+        'x,label\n1,"A"\n2,B\n',  # a quoted label: csv reads A
+        'x,label\n1,"A,B"\n2,C\n',  # one holding a comma
+        'label,"x\ny"\nA,1\nB,2\n',  # a header spanning two lines
+    ])
+    def test_doubtful_files_take_the_loop(self, tmp_path, text):
+        p = tmp_path / "data.csv"
+        p.write_bytes(text.encode("utf-8"))
+        header = text.replace("\r", "\n").split("\n")[0].split(",")
+        assert fast_path(p, header.index("label"), len(header)) is None
+        fast, loop = load_both_ways(p, "label")
+        assert fast == loop
+
+    def test_non_utf8_bytes_are_a_parse_error_at_their_line(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_bytes(b"x,label\n0,A\n1,B\n2,\xe9\n3,A\n")
+        assert fast_path(p, 1, 2) is None
+        fast, loop = load_both_ways(p, "label")
+        assert fast == loop and fast[:3] == (ParseError, 3, "<file>")
 
 
 class TestDatasetLabels:

@@ -9,6 +9,7 @@ import pytest
 from knnsweep.dataset import Dataset, FoldAssignment, generate_synthetic, stratified_folds
 from knnsweep.distance import (
     ENTRY_BYTES,
+    METRICS,
     SORT_CELL_BYTES,
     build_sorted_matrix,
     distance_matrix,
@@ -203,6 +204,42 @@ class TestBuildSortedMatrix:
         b = build_sorted_matrix(ds, fa, rows=np.arange(40))
         np.testing.assert_array_equal(a.distances, b.distances)
         np.testing.assert_array_equal(a.sources, b.sources)
+
+
+class TestDistanceTiles:
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("columns", [1, 2, 3, 7])  # 3 and 7 divide neither 20 nor 25
+    @pytest.mark.parametrize("kind", ["continuous", "duplicates", "overflow"])
+    def test_tiles_equal_one_call(self, metric, columns, kind):
+        n, d = 25, 3
+        rng = np.random.default_rng(columns)
+        if kind == "continuous":
+            features = rng.normal(size=(n, d))
+        elif kind == "duplicates":  # many equal points: tied distances, zeros among them
+            features = rng.integers(0, 2, size=(n, d)).astype(np.float64)
+        else:  # every metric's sums overflow to inf
+            features = rng.choice([-1.5e308, 1.5e308], size=(n, d))
+        ds = Dataset(features=features, labels=np.arange(n) % 3, s=3, class_names=["a", "b", "c"])
+        fa = FoldAssignment(fold_of=np.arange(n) % 5, f=5)
+        one_fold, cols = np.flatnonzero(fa.fold_of == 0), np.flatnonzero(fa.fold_of != 0)
+        for rows in (one_fold, np.arange(n)):  # 20 columns, and 25 for a block spanning folds
+            with mock.patch.object(distance_module, "TILE_BYTES", 8 * d * columns), \
+                 mock.patch.object(distance_module, "sort_rows",
+                                   wraps=distance_module.sort_rows) as sort:
+                assert distance_module.tile_columns(d) == columns
+                tiled = build_sorted_matrix(ds, fa, metric, rows=rows)
+            if rows is one_fold:  # its tiled distances, before the sort, are one call's
+                dist = distance_matrix(features[rows], features[cols], metric)
+                assert sort.call_args.args[0].tobytes() == dist.tobytes()
+            whole = build_sorted_matrix(ds, fa, metric, rows=rows)  # one cdist call
+            assert tiled.distances.tobytes() == whole.distances.tobytes()
+            np.testing.assert_array_equal(tiled.sources, whole.sources)
+            np.testing.assert_array_equal(tiled.labels, whole.labels)
+
+    def test_tile_columns(self):
+        assert distance_module.tile_columns(512) == 256  # 1 MiB of features
+        assert distance_module.tile_columns(4) == 32768
+        assert distance_module.tile_columns(1 << 20) == 1  # a tile holds one column at least
 
 
 def assert_sorts_like_stable_argsort(d):

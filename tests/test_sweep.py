@@ -218,7 +218,7 @@ class TestSelectK:
     def test_report_json_fields(self):
         acc = AccuracyMatrix(correct=np.array([[2, 1], [2, 2]]),
                              fold_sizes=np.array([2, 2]), k_max=2, f=2)
-        report = select_k(acc, timing={"sweep": 0.1})
+        report = select_k(acc)
         payload = json.loads(report.to_json())
         assert set(payload) == {"best_k_per_fold", "k_star", "curve",
                                 "evaluated_k", "timing"}
