@@ -37,19 +37,40 @@ DEFAULT_MEMORY_BUDGET = 4 << 30  # 4 GiB
 FIXED_BYTES = 1 << 16
 # Per k, the Python objects select_k builds: a curve point (a dict, an int
 # and two floats) and the list slots and floats around it. Beyond the tally
-# and its float64 chunk, tracemalloc measured 290-320 bytes per k at k_max =
+# and its chunks, tracemalloc measured 290-320 bytes per k at k_max =
 # 999 to 5999 (numpy 2.4, Python 3.11).
 CURVE_POINT_BYTES = 512
-SELECT_CHUNK_BYTES = 1 << 20  # select_k's float64 copy of some tally rows (one row at least)
+# select_k's chunks of tally rows (one row at least): one C-ordered copy at
+# the tally's type, and a float64 copy of some of its rows
+SELECT_CHUNK_BYTES = 1 << 20
+# Folds select_k copies from the tally at once: 256 cache lines of a
+# fold-major tally, each read whole where a chunk holds 64 int8 rows (up to
+# 16384 folds)
+SELECT_TILE_FOLDS = 256
 
 # Cap on the build blocks in flight (_row_bytes) plus one label panel
-# (_panel_row_bytes). PANEL_SHARE of it holds the panel: at n=6000 (f=5,
-# s=3) 3360 rows, so the per-k loop runs twice, and the build blocks share
-# the rest, 86 rows each for two workers. A shadow_min panel row costs 9
-# bytes a depth, not 1, and its panel still holds four build blocks or more
-# (605 and 138 rows in 3000-row LOOCV on two workers).
-BLOCK_BYTES = 48 << 20
-PANEL_SHARE = 1 / 3
+# (_panel_row_bytes). The vote pays per numpy call, so it gains from a wide
+# panel, and PANEL_SHARE of the cap holds the panel: at n=6000 (f=5, s=3)
+# all 6000 rows, so the per-k loop runs once, and the build blocks share
+# the rest, 35 rows each for two workers. A shadow_min panel row costs 9
+# bytes a depth, not 1: 1111 panel rows and 54-row blocks in 3000-row LOOCV
+# on two workers. A build is charged 40 bytes a cell (SORT_CELL_BYTES) but
+# holds about 24, so each byte moved from the builds to the panel raises the
+# peak RSS, and a larger share wants a smaller cap. At n=16000 (f=5) the
+# panel has 2372 rows and the blocks 11; much narrower blocks pay again,
+# for each block's O(n) gathers.
+BLOCK_BYTES = 42 << 20
+PANEL_SHARE = 0.7
+# Narrowest panel the budget must hold, in rows (n at most). The vote costs
+# a fixed number of numpy calls a depth, so narrow panels pay mostly for
+# calls. ns a vote of _vote at depth 2000 against panel width (2-vCPU x86,
+# numpy 2.4):
+#   width                 1     16     64    128   256   512  1024  2048  4096
+#   smallest_code s=3  4863    216   55.8   30.5  17.8  12.1   9.0   7.1   5.6
+#   shadow_min s=20    9311    474    127   71.2  46.2  29.8  24.5  18.8  25.2
+# 256 rows is the narrowest width within 4 times the cheapest width's cost,
+# for s=3 and s=20 under both policies.
+PANEL_FLOOR = 256
 # Depths whose hits sweep adds into the tally at once: the hits and their
 # per-fold sums at the tally's type, a few hundred bytes a panel row
 HIT_CHUNK_DEPTHS = 16
@@ -100,13 +121,6 @@ class AccuracyMatrix:
                                      f"{np.shape(self.fold_sizes)} do not have k >= 1 rows "
                                      f"and f={self.f} >= 1 folds")
         self.correct.setflags(write=False)
-
-    def per_fold_accuracy(self, rows=slice(None)):
-        """C-ordered float64 accuracies of correct[rows], fold sizes as denominators."""
-        # cast first: a mixed-type divide holds two cast buffers (128 KiB)
-        per_fold = self.correct[rows].astype(np.float64, order="C")
-        per_fold /= self.fold_sizes.astype(np.float64)
-        return per_fold
 
 
 @dataclass(frozen=True)
@@ -268,36 +282,40 @@ def row_blocks(dataset, folds, memory_budget=DEFAULT_MEMORY_BUDGET, policy="smal
     """Row index blocks for a blocked sweep and the width of the panel they fill.
 
     The only place a run's memory is priced. The budget bounds the tally
-    (tally_type), select_k's float64 chunk of it and its curve, the
+    (tally_type), select_k's chunks of it (_select_bytes) and its curve, the
     features and labels (dataset_bytes), `workers` build blocks in flight
     (_row_bytes) and the gathers of their columns (_gather_bytes, the
     first of them outside the cap), and one LabelPanel with its vote
     (_panel_row_bytes), whose charge depends on the tie policy; the blocks,
     their gathers and the panel are further capped at BLOCK_BYTES,
-    PANEL_SHARE of which holds the panel. workers is one per CPU
-    (_worker_count), or fewer when the rest of the cap does not hold a row
-    of each and the further gathers. Returns a RowBlocks: iterating it
-    gives blocks in _row_blocks order, each of rows of one fold size and
-    none wider than panel_rows. Raises MemoryBudgetExceeded only when one
-    build row and one panel row do not fit.
+    PANEL_SHARE of which holds the panel. The panel is never narrower than
+    min(n, PANEL_FLOOR) rows, the cap growing to hold them and one build
+    row. workers is one per CPU (_worker_count), or fewer when the rest of
+    the cap does not hold a row of each and the further gathers. Returns a
+    RowBlocks: iterating it gives blocks in _row_blocks order, each of rows
+    of one fold size and none wider than panel_rows. Raises
+    MemoryBudgetExceeded only when one build row and a panel of
+    min(n, PANEL_FLOOR) rows do not fit.
     """
     n, d, s, f = dataset.n, dataset.d, dataset.s, folds.f
     if folds.n != n:
         raise InconsistentFolds(f"folds cover {folds.n} rows, dataset has {n}")
     check_policy(policy)
     k_max, tally = folds.k_max, tally_type(folds)
-    chunk = min(8 * k_max * f, max(SELECT_CHUNK_BYTES, 8 * f))  # one select_k float64 chunk
+    chunk = _select_bytes(k_max, f, tally)
     gather = _gather_bytes(n, d)
     fixed = (tally.itemsize * k_max * f + chunk + CURVE_POINT_BYTES * k_max
              + dataset_bytes(n, d) + gather + FIXED_BYTES)
     build = _row_bytes(n - int(folds.fold_sizes.min()), d)
     panel = _panel_row_bytes(k_max, s, policy, tally)
-    required = fixed + build + panel
+    floor = min(n, PANEL_FLOOR)
+    required = fixed + build + floor * panel
     if required > memory_budget:
         raise MemoryBudgetExceeded(required, memory_budget)
-    cap = min(BLOCK_BYTES, memory_budget - fixed)
-    # the panel takes its share of the cap, and leaves room for one build row
-    width = min(n, max(1, min(int(cap * PANEL_SHARE), cap - build) // panel))
+    cap = min(max(BLOCK_BYTES, floor * panel + build), memory_budget - fixed)
+    # the panel takes its share of the cap, at least floor rows, and leaves
+    # room for one build row
+    width = min(n, max(floor, min(int(cap * PANEL_SHARE), cap - build) // panel))
     # the builds in flight share the rest; fixed holds the first build's
     # gather, and each further build is charged its own
     room = cap - width * panel
@@ -376,13 +394,22 @@ def _accumulate(correct, labels, dists, truth, panel_folds, s, policy):
     # _vote's counters are freed before the hit chunks exist (_panel_row_bytes)
     target = _vote(labels, dists, truth, s, policy).astype(labels.dtype)
     starts = np.flatnonzero(np.r_[True, panel_folds[1:] != panel_folds[:-1]])
-    ids = panel_folds[starts]
+    # fold-major: correct.T[i] is fold i's counts, contiguous in an F-ordered tally
+    ids = _fold_index(panel_folds[starts])
     for lo in range(0, len(labels), HIT_CHUNK_DEPTHS):
         hits = (labels[lo:lo + HIT_CHUNK_DEPTHS] == target).T
         if starts.size < len(hits):  # some fold has several rows here (not LOOCV)
             hits = np.add.reduceat(hits, starts, axis=0, dtype=correct.dtype)
-        # fold-major: correct.T[i] is fold i's counts, contiguous in an F-ordered tally
         correct.T[ids, lo:lo + HIT_CHUNK_DEPTHS] += hits
+
+
+def _fold_index(ids):
+    """The tally's index of a panel's fold ids: a slice when they are one
+    ascending run (LOOCV, equal folds), which adds in place where a list of
+    ids gathers, adds and scatters, else the ids."""
+    if (np.diff(ids) == 1).all():
+        return slice(ids[0], ids[-1] + 1)
+    return ids
 
 
 def _vote(labels, dists, truth, s, policy):
@@ -447,25 +474,37 @@ def select_k(acc, evaluated_k=None):
     if len(evaluated_k) != rows:
         raise InconsistentInputs(f"{len(evaluated_k)} evaluated k for {rows} tally rows")
 
-    # Each chunk of rows is a C-ordered float64 copy, so sums run in one
-    # order whatever the layout. The first max over k (ties keep the smaller
-    # k) is a running best per fold, as argmax copies a read-only tally whole.
+    # The tally is read in C-ordered chunks of its own type, filled one tile
+    # of SELECT_TILE_FOLDS folds at a time, so that a fold-major tally is read
+    # in whole cache lines. Each float64 copy of some of a chunk's rows is
+    # C-ordered too, so sums run in one order whatever the layout. The first
+    # max over k (ties keep the smaller k) is a running best per fold; only
+    # the folds a part raises are searched for the row of their max.
     best_rows, best = np.zeros(f, dtype=np.intp), correct[0]
+    sizes = acc.fold_sizes.astype(np.float64)  # a mixed-type divide holds cast buffers
     means, stds = [], []
-    step = max(1, SELECT_CHUNK_BYTES // (8 * f))
-    for lo in range(0, rows, step):
-        part = correct[lo:lo + step]
-        count = part.max(axis=0)
-        best_rows = np.where(count > best, np.argmax(part, axis=0) + lo, best_rows)
-        best = np.maximum(best, count)
-        per_fold = acc.per_fold_accuracy(slice(lo, lo + step))
-        mean = per_fold.mean(axis=1)
-        # population std, np.std's steps done in place in per_fold
-        per_fold -= mean[:, None]
-        per_fold *= per_fold
-        means += mean.tolist()
-        stds += np.sqrt(per_fold.mean(axis=1)).tolist()
-        del per_fold  # before the next chunk exists
+    span, step = _chunk_rows(f, correct.itemsize), _chunk_rows(f, 8)
+    staged = np.empty((min(rows, span), f), dtype=correct.dtype)
+    for top in range(0, rows, span):
+        chunk = staged[:rows - top]
+        for j in range(0, f, SELECT_TILE_FOLDS):
+            chunk[:, j:j + SELECT_TILE_FOLDS] = correct[top:top + span, j:j + SELECT_TILE_FOLDS]
+        for lo in range(0, len(chunk), step):
+            part = chunk[lo:lo + step]
+            count = part.max(axis=0)
+            raised = count > best
+            if raised.any():
+                best_rows[raised] = np.argmax(part.T[raised], axis=1) + top + lo
+                best = np.maximum(best, count)
+            per_fold = part.astype(np.float64)
+            per_fold /= sizes
+            mean = per_fold.mean(axis=1)
+            # population std, np.std's steps done in place in per_fold
+            per_fold -= mean[:, None]
+            per_fold *= per_fold
+            means += mean.tolist()
+            stds += np.sqrt(per_fold.mean(axis=1)).tolist()
+            del per_fold  # before the next part exists
 
     best_k_per_fold = [int(evaluated_k[r]) for r in best_rows]
     k_star = int(math.floor(sum(best_k_per_fold) / len(best_k_per_fold) + 0.5))
@@ -475,6 +514,19 @@ def select_k(acc, evaluated_k=None):
 
     return KSearchReport(best_k_per_fold=best_k_per_fold, k_star=k_star,
                          curve=curve, evaluated_k=[int(k) for k in evaluated_k])
+
+
+def _chunk_rows(f, itemsize):
+    """Rows of f folds at itemsize bytes that fill SELECT_CHUNK_BYTES (one row at least)."""
+    return max(1, SELECT_CHUNK_BYTES // (itemsize * f))
+
+
+def _select_bytes(k_max, f, tally):
+    """Upper bound of the chunks select_k holds: a chunk of tally rows at the
+    tally's type, a float64 part of it, and the part's raised folds at the
+    tally's type."""
+    span, step = min(k_max, _chunk_rows(f, tally.itemsize)), min(k_max, _chunk_rows(f, 8))
+    return f * (tally.itemsize * (span + step) + 8 * step)
 
 
 def accuracy_curve_export(report, path):

@@ -7,6 +7,7 @@ that span folds.
 """
 
 import importlib
+import math
 import sys
 import time
 import tracemalloc
@@ -67,17 +68,19 @@ def make_instance(n, d, s, integer, fold_kind, f, seed):
        integer=st.booleans(), fold_kind=st.sampled_from(["stratified", "loocv", "skewed"]),
        f=st.integers(2, 8), metric=st.sampled_from(METRICS),
        policy=st.sampled_from(TIE_POLICIES), tight_budget=st.booleans(),
-       block_rows=st.sampled_from([None, 1, 2, 3, 5]), seed=st.integers(0, 2**32 - 1))
+       block_rows=st.sampled_from([None, 1, 2, 3, 5]),
+       floor=st.sampled_from([1, sweep_module.PANEL_FLOOR]), seed=st.integers(0, 2**32 - 1))
 def test_equals_oracle(n, d, s, integer, fold_kind, f, metric, policy, tight_budget,
-                       block_rows, seed):
+                       block_rows, floor, seed):
     s = min(s, n)
     ds, fa = make_instance(n, d, s, integer, fold_kind, f, seed)
     # a tight budget forces 1-row blocks; a small block cap gives blocks of
-    # a few rows, which span folds and split them when folds are small
-    budget = min_budget(ds, fa, metric, policy) if tight_budget else 4 << 30
+    # a few rows, which span folds and split them when folds are small; a
+    # one-row panel floor lets either cut the panel too
     cap = (sweep_module.BLOCK_BYTES if block_rows is None
            else block_rows * _row_bytes(n, d))
-    with mock.patch.object(sweep_module, "BLOCK_BYTES", cap):
+    with mock.patch.multiple(sweep_module, BLOCK_BYTES=cap, PANEL_FLOOR=floor):
+        budget = min_budget(ds, fa, metric, policy) if tight_budget else 4 << 30
         acc, _ = blocked_sweep(ds, fa, metric, policy, memory_budget=budget)
 
     assert_equals_oracle(acc, ds, fa, metric, policy)
@@ -254,18 +257,57 @@ def stage_calls(monkeypatch):
 ], ids=["unequal_folds", "skewed", "loocv", "uint16", "overflow", "overflow_loocv"])
 def test_panel_of_several_blocks_equals_oracle(instance, policy, stage_calls):
     ds, fa = instance()
-    # panels of a third of the rows; blocks of two rows of the smallest fold,
-    # whose rows have the most columns, and of more rows of larger folds
+    # panels of a third of the rows, below the panel floor; blocks of two
+    # rows of the smallest fold, whose rows have the most columns, and of
+    # more rows of larger folds
     panel_bytes = ds.n // 3 * _panel_row_bytes(fa.k_max, ds.s, policy, tally_type(fa))
     cap = panel_bytes + 2 * _row_bytes(ds.n - int(fa.fold_sizes.min()), ds.d)
     share = (panel_bytes + 0.5) / cap
-    with mock.patch.multiple(sweep_module, BLOCK_BYTES=cap, PANEL_SHARE=share):
+    with mock.patch.multiple(sweep_module, BLOCK_BYTES=cap, PANEL_SHARE=share, PANEL_FLOOR=1):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             acc, _ = blocked_sweep(ds, fa, "euclidean", policy)
     panels = "".join(stage_calls).split("v")  # the builds packed into each voted panel
     assert len(panels) > 3 and panels[-1] == "" and max(map(len, panels)) >= 3
     assert_equals_oracle(acc, ds, fa, "euclidean", policy)
+
+
+@pytest.mark.parametrize("policy", TIE_POLICIES)
+@pytest.mark.parametrize("fold_of, one_run", [
+    (np.arange(24), True),  # LOOCV
+    (np.arange(24) % 4, True),  # equal folds
+    (np.repeat([0, 1, 2], [3, 2, 3]), False),  # row_blocks orders folds 1, 0, 2
+], ids=["loocv", "equal_folds", "sizes_3_2_3"])
+def test_slice_and_fancy_tally_updates_agree(fold_of, one_run, policy):
+    # a panel whose fold ids form one ascending run adds its hits into a
+    # slice of the tally, else through the list of its fold ids; either way
+    # gives the same tally, to the byte, one panel of all rows or one a block
+    rng = np.random.default_rng(fold_of.size)
+    ds = Dataset(features=rng.integers(0, 3, size=(fold_of.size, 2)).astype(np.float64),
+                 labels=rng.permutation(np.arange(fold_of.size) % 3), s=3,
+                 class_names=["a", "b", "c"])
+    fa = FoldAssignment(fold_of=fold_of, f=int(fold_of.max()) + 1)
+    blocks = [build_sorted_matrix(ds, fa, "manhattan", rows=rows) for rows in row_blocks(ds, fa)]
+    fold_index = sweep_module._fold_index
+    tallies, indices = [], []
+    for fancy in (False, True):
+        def spy(ids, fancy=fancy):
+            index = ids if fancy else fold_index(ids)
+            indices.append(index)
+            return index
+        correct = np.zeros((fa.k_max, fa.f), dtype=tally_type(fa), order="F")
+        with mock.patch.object(sweep_module, "_fold_index", spy):
+            sweep(panel_of(fa, ds.s, *blocks, policy=policy), fa, ds.labels, policy, correct)
+            for block in blocks:
+                sweep(panel_of(fa, ds.s, block, policy=policy), fa, ds.labels, policy, correct)
+        tallies.append(correct)
+    assert isinstance(indices[0], slice) == one_run
+    if one_run:
+        assert all(isinstance(index, slice) for index in indices[:len(blocks) + 1])
+    assert tallies[0].tobytes(order="A") == tallies[1].tobytes(order="A")
+    acc, _ = blocked_sweep(ds, fa, "manhattan", policy)
+    np.testing.assert_array_equal(tallies[0], 2 * acc.correct)  # each row voted twice
+    assert_equals_oracle(acc, ds, fa, "manhattan", policy)
 
 
 def test_panel_codes_are_narrowest_unsigned():
@@ -281,6 +323,25 @@ def test_budget_refused_only_below_one_row(toy):
     assert acc.correct.tolist() == [[1, 2], [1, 1]]
 
 
+@pytest.mark.parametrize("floor", [40, 1000])
+def test_smallest_budget_holds_a_panel_floor(floor):
+    # the smallest budget prices a panel of min(n, PANEL_FLOOR) rows, and no
+    # budget or block cap gives a narrower one
+    ds, fa = make_instance(300, 2, 3, True, "stratified", 5, seed=14)
+    rows = min(ds.n, floor)
+    with mock.patch.object(sweep_module, "PANEL_FLOOR", 1):
+        one_row = min_budget(ds, fa)
+    with mock.patch.object(sweep_module, "PANEL_FLOOR", floor):
+        budget = min_budget(ds, fa)
+        assert budget - one_row == (rows - 1) * _panel_row_bytes(fa.k_max, ds.s, "smallest_code",
+                                                                 tally_type(fa))
+        assert row_blocks(ds, fa, budget).panel_rows == rows
+        with mock.patch.object(sweep_module, "BLOCK_BYTES", 1):
+            assert row_blocks(ds, fa).panel_rows == rows
+        acc, _ = blocked_sweep(ds, fa, memory_budget=budget)
+    assert_equals_oracle(acc, ds, fa, "euclidean", "smallest_code")
+
+
 def test_block_cap_below_one_row_still_runs(toy):
     ds, fa = toy
     with mock.patch.object(sweep_module, "BLOCK_BYTES", 1):
@@ -290,25 +351,30 @@ def test_block_cap_below_one_row_still_runs(toy):
 
 def test_budget_of_one_build_row_builds_one_block_at_once():
     ds, fa = make_instance(60, 2, 3, True, "stratified", 4, seed=3)
-    with workers(2):
+    with workers(2), mock.patch.object(sweep_module, "PANEL_FLOOR", 1):
         budget = min_budget(ds, fa)
         assert row_blocks(ds, fa, budget).workers == 1
         acc, _ = blocked_sweep(ds, fa, memory_budget=budget)
         assert_equals_oracle(acc, ds, fa, "euclidean", "smallest_code")
-        # the panel takes a third of what the budget adds: room for a second
-        # build row but not its gather stays one at once, room for both two
+        # the one-row panel takes PANEL_SHARE of what the budget adds: room
+        # for a second build row but not its gather stays one at once, room
+        # for both two
         build = _row_bytes(ds.n - int(fa.fold_sizes.min()), ds.d)
-        assert row_blocks(ds, fa, budget + 2 * build).workers == 1
-        assert row_blocks(ds, fa, budget + 2 * (build + _gather_bytes(ds.n, ds.d))).workers == 2
+        for added, count in ((2 * build, 1), (2 * (build + _gather_bytes(ds.n, ds.d)), 2)):
+            added = math.ceil(added / (1 - sweep_module.PANEL_SHARE))
+            assert row_blocks(ds, fa, budget + added).workers == count
 
 
-def many_blocks(ds, fa, block_rows, count=2):
-    """Patch BLOCK_BYTES so that a panel takes a third of it and the rest
-    holds `count` build blocks in flight, each of block_rows rows of the
-    widest build, and the gathers of all but the first."""
+def many_blocks(ds, fa, block_rows, count=2, policy="smallest_code"):
+    """Patch the cap and its panel share so that a panel holds a third of the
+    rows, below the panel floor, and the rest holds `count` build blocks in
+    flight, each of block_rows rows of the widest build, and the gathers of
+    all but the first."""
     row = _row_bytes(ds.n - int(fa.fold_sizes.min()), ds.d)
     room = count * block_rows * row + (count - 1) * _gather_bytes(ds.n, ds.d)
-    return mock.patch.object(sweep_module, "BLOCK_BYTES", (3 * room + 1) // 2)
+    panel = ds.n // 3 * _panel_row_bytes(fa.k_max, ds.s, policy, tally_type(fa))
+    return mock.patch.multiple(sweep_module, BLOCK_BYTES=panel + room,
+                               PANEL_SHARE=(panel + 0.5) / (panel + room), PANEL_FLOOR=1)
 
 
 @pytest.mark.parametrize("policy", TIE_POLICIES)
@@ -324,7 +390,7 @@ def test_worker_counts_give_one_tally(instance, policy):
     ds, fa = instance()
     tallies = []
     for count in (1, 2, 3):
-        with workers(count), many_blocks(ds, fa, 3, count=3):
+        with workers(count), many_blocks(ds, fa, 3, count=3, policy=policy):
             blocks = row_blocks(ds, fa, policy=policy)
             assert blocks.workers == count and len(list(blocks)) > 3 * count
             acc, _ = blocked_sweep(ds, fa, "chebyshev", policy)
@@ -356,7 +422,7 @@ def test_stress_more_workers_than_cores():
     rounds = 0
     sys.setswitchinterval(1e-6)
     try:
-        with workers(8), many_blocks(ds, fa, 1, count=8):
+        with workers(8), many_blocks(ds, fa, 1, count=8, policy="shadow_min"):
             blocks = row_blocks(ds, fa, policy="shadow_min")
             assert blocks.workers == 8 and len(list(blocks)) > 8 * 8
             while rounds < 10 and (rounds == 0 or time.monotonic() < deadline):

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from knnsweep.sweep import (
     select_k,
     sweep,
 )
+
+sweep_module = importlib.import_module("knnsweep.sweep")
 
 
 def make_matrix(distances, labels, sources, f):
@@ -138,7 +142,7 @@ class TestSelectK:
         fold_sizes = rng.integers(1, 50, size=f)
         correct = rng.integers(0, fold_sizes + 1, size=(k_max, f))
         acc = AccuracyMatrix(correct=correct, fold_sizes=fold_sizes, k_max=k_max, f=f)
-        per_fold = acc.per_fold_accuracy()
+        per_fold = correct / fold_sizes
         expected = [{"k": k, "mean_accuracy": float(np.mean(per_fold[k - 1])),
                      "std_accuracy": float(np.std(per_fold[k - 1]))}
                     for k in range(1, k_max + 1)]
@@ -179,6 +183,28 @@ class TestSelectK:
         assert [p["k"] for p in subset[0].curve] == ks
         assert [p["mean_accuracy"] for p in subset[0].curve] == [
             p["mean_accuracy"] for p in reports[0].curve]
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+    @pytest.mark.parametrize("k_max, f", [(70, 3), (130, 300), (9, 700)])
+    @pytest.mark.parametrize("chunk_bytes", [1 << 20, 4096])
+    def test_f_and_c_tallies_give_identical_report_bytes(self, dtype, k_max, f, chunk_bytes):
+        # 4 KiB chunks: the tally is read in many chunks of rows, and parts
+        # of them, the last ones shorter; past SELECT_TILE_FOLDS folds a
+        # chunk is filled in several tiles, the last one narrower
+        rng = np.random.default_rng(k_max * f)
+        fold_sizes = rng.integers(1, 100, size=f)
+        correct = rng.integers(0, fold_sizes + 1, size=(k_max, f)).astype(dtype)
+        with mock.patch.object(sweep_module, "SELECT_CHUNK_BYTES", chunk_bytes):
+            reports = [select_k(AccuracyMatrix(correct=layout(correct), fold_sizes=fold_sizes,
+                                               k_max=k_max, f=f)).to_json()
+                       for layout in (np.ascontiguousarray, np.asfortranarray)]
+        assert reports[0] == reports[1]
+        report = json.loads(reports[0])
+        assert report["best_k_per_fold"] == (np.argmax(correct, axis=0) + 1).tolist()
+        per_fold = correct / fold_sizes
+        assert report["curve"] == [{"k": k, "mean_accuracy": float(np.mean(per_fold[k - 1])),
+                                    "std_accuracy": float(np.std(per_fold[k - 1]))}
+                                   for k in range(1, k_max + 1)]
 
     @pytest.mark.parametrize("evaluated_k", [[1, 2], [1, 2, 3, 4, 5], []])
     def test_evaluated_k_must_name_every_tally_row(self, evaluated_k):
