@@ -69,17 +69,18 @@ def blocked_sweep(dataset, folds, metric="euclidean", policy="smallest_code",
 
     Each block of row_blocks is one task on a pool of blocks.workers
     threads, one pool per call: it gets its sorted neighbour lists from
-    build_sorted_matrix, packs them into the panel columns this thread
-    reserved for it in block order, and frees the block. At most
-    blocks.workers tasks are pending at once. Once all tasks of a full
-    panel are done, sweep votes it on this thread into one running tally,
-    and only then is the next panel's first task submitted; the last panel
-    is voted after the last block. So blocks.workers build blocks and one
-    panel exist at once. The stages are called through this module's names,
-    which perfbench/child.py wraps in spans. Returns (AccuracyMatrix,
-    seconds), wall-clock on this thread: "distance" and "sort" split its
-    waits for the builds in the ratio of the builds' own build_seconds,
-    "sweep" is the votes, and "total" the whole call.
+    build_sorted_matrix, in the panel's label codes, copies them into the
+    panel columns this thread reserved for it in block order, and frees the
+    block. At most blocks.workers tasks are pending at once. Once all tasks
+    of a full panel are done, sweep votes it on this thread into one running
+    tally, breaking ties by the policy the panel was made with, and only
+    then is the next panel's first task submitted; the last panel is voted
+    after the last block. So blocks.workers build blocks and one panel exist
+    at once. The stages are called through this module's names, which
+    perfbench/child.py wraps in spans. Returns (AccuracyMatrix, seconds),
+    wall-clock on this thread: "distance" and "sort" split its waits for
+    the builds and its submits of them in the ratio of the builds' own
+    build_seconds, "sweep" is the votes, and "total" the whole call.
     """
     t_start = time.perf_counter()
     # fold-major: each panel adds one contiguous run of k_max counts per fold
@@ -94,18 +95,20 @@ def blocked_sweep(dataset, folds, metric="euclidean", policy="smallest_code",
         panel.pack(block, lo)
         return block.build_seconds
 
-    def wait(pending):
-        """Wait until at most `pending` tasks are left."""
+    def wait(pending, rows=None):
+        """Wait until at most `pending` tasks are left, then submit the build of `rows`, if any."""
         t0 = time.perf_counter()
         while len(tasks) > pending:
             for phase, t in tasks.popleft().result().items():
                 spent[phase] += t
+        if rows is not None:  # a submit waits for the GIL while the builds run
+            tasks.append(pool.submit(build, rows, panel.reserve(rows)))
         spent["wait"] += time.perf_counter() - t0
 
     def vote():
         wait(0)
         t0 = time.perf_counter()
-        acc = sweep(panel, folds, dataset.labels, policy, correct=correct)
+        acc = sweep(panel, folds, dataset.labels, correct=correct)
         spent["sweep"] += time.perf_counter() - t0
         return acc
 
@@ -113,8 +116,7 @@ def blocked_sweep(dataset, folds, metric="euclidean", policy="smallest_code",
         for rows in blocks:
             if rows.size > panel.room:
                 vote()
-            wait(blocks.workers - 1)
-            tasks.append(pool.submit(build, rows, panel.reserve(rows)))
+            wait(blocks.workers - 1, rows)
         acc = vote()
     share = spent["distance"] / ((spent["distance"] + spent["sort"]) or 1)
     return acc, {"distance": spent["wait"] * share, "sort": spent["wait"] * (1 - share),

@@ -18,11 +18,12 @@ METRICS = ("euclidean", "manhattan", "chebyshev")
 
 _CDIST_NAME = {"euclidean": "euclidean", "manhattan": "cityblock", "chebyshev": "chebyshev"}
 
-# per stored entry: float64 distance + int32 label + int32 source index
+# per stored entry, at most: float64 distance + int32 source index + label code
 ENTRY_BYTES = 16
-# Upper bound, per row, of the bytes a build holds per distance column
-# (distances, the sort keys that become the order, the sorted distances and
-# the int32 sources and labels)
+# Upper bound, per row, of the bytes a build holds per distance column:
+# distances, sort keys that become the order, sorted distances, int32
+# sources and 1- or 2-byte label codes take 29-30; 40 is kept as a bound
+# that holds, since a smaller price would change every plan of sweep.row_blocks
 SORT_CELL_BYTES = 40
 ROW_OVERHEAD = 16
 BASE_OVERHEAD = 256
@@ -94,6 +95,24 @@ def tile_columns(d):
     return max(1, TILE_BYTES // (8 * d))
 
 
+def label_type(s):
+    """Narrowest unsigned type of s class codes (uint8 up to 256, else uint16); it holds
+    every code below s rounded up to a power of two, which the vote writes."""
+    return np.min_scalar_type(int(s) - 1)
+
+
+def _row_bytes(m, d):
+    """Upper bound of the bytes build_sorted_matrix holds a row of m columns, its pack included."""
+    return SORT_CELL_BYTES * m + 8 * d + 128
+
+
+def _gather_bytes(n, d):
+    """Upper bound of the bytes build_sorted_matrix holds whatever its rows:
+    the features of one tile of its columns (of up to n, all of them in a
+    block that spans folds), and the indices and labels of all its columns."""
+    return 8 * d * min(n, tile_columns(d)) + 32 * n
+
+
 def estimate_footprint(n, f):
     """Bytes the stored neighbour lists of all n rows would take at once.
 
@@ -112,7 +131,8 @@ class SortedDistanceMatrix:
 
     Row j holds the neighbours of dataset row rows[j]. distances/labels/
     sources are (n, m) arrays, m = dataset size - the rows' fold size, at
-    least the folds' k_max, the depth sweep reads.
+    least the folds' k_max, the depth sweep reads. labels are codes of
+    label_type(s), the type a LabelPanel holds; sources are int32.
     """
 
     distances: np.ndarray
@@ -145,9 +165,9 @@ def build_sorted_matrix(dataset, folds, metric="euclidean", *, rows):
     take all n columns, with their own fold's cells set to NaN, which sorts
     last, and keep their first n - fold size entries. Records wall-clock of
     the distance and sort phases (the label gather included) in
-    build_seconds. The build holds up to SORT_CELL_BYTES per distance cell,
-    and gathers the features of one tile of tile_columns(d) columns at a
-    time; sweep.row_blocks sizes the rows to fit a budget.
+    build_seconds. The build holds up to _row_bytes a row and _gather_bytes
+    besides, the features of one tile of tile_columns(d) columns at a time
+    among them; sweep.row_blocks sizes the rows to fit a budget.
     """
     check_metric(metric)
     n = dataset.n
@@ -183,7 +203,8 @@ def build_sorted_matrix(dataset, folds, metric="euclidean", *, rows):
     del dist
     order, distances = order[:, :m], distances[:, :m]
     # both gathers index by the intp order, not by an int32 copy of it
-    sources, labels = cols.astype(np.int32)[order], dataset.labels[cols].astype(np.int32)[order]
+    sources = cols.astype(np.int32)[order]
+    labels = dataset.labels[cols].astype(label_type(dataset.s))[order]
     del order
     t_sort = time.perf_counter() - t1
 

@@ -5,10 +5,9 @@ are grown one neighbor at a time; after each depth k the prediction for every
 row is compared against ground truth and tallied per fold. Counters are never
 reset, so the whole 1..k_max range costs one traversal of each row's list.
 row_blocks cuts the rows into build blocks, and the first k_max neighbours
-of several built blocks are packed, depth-major and in the narrowest label
-type, into one LabelPanel, which the vote reads: the per-k loop runs once
-per panel, and neither the lists of all rows nor their int64 labels ever
-exist at once.
+of several built blocks are copied, depth-major, into one LabelPanel, which
+the vote reads: the per-k loop runs once per panel, and neither the lists
+of all rows nor their int64 labels ever exist at once.
 """
 
 import json
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import SORT_CELL_BYTES, tile_columns
+from .distance import _gather_bytes, _row_bytes, label_type
 from .errors import (
     BadParams,
     EmptyNeighborhood,
@@ -54,8 +53,8 @@ SELECT_TILE_FOLDS = 256
 # all 6000 rows, so the per-k loop runs once, and the build blocks share
 # the rest, 35 rows each for two workers. A shadow_min panel row costs 9
 # bytes a depth, not 1: 1111 panel rows and 54-row blocks in 3000-row LOOCV
-# on two workers. A build is charged 40 bytes a cell (SORT_CELL_BYTES) but
-# holds about 24, so each byte moved from the builds to the panel raises the
+# on two workers. A build is charged 40 bytes a cell (_row_bytes) but holds
+# about 24, so each byte moved from the builds to the panel raises the
 # peak RSS, and a larger share wants a smaller cap. At n=16000 (f=5) the
 # panel has 2372 rows and the blocks 11; much narrower blocks pay again,
 # for each block's O(n) gathers.
@@ -135,11 +134,6 @@ class KSearchReport:
         return json.dumps(vars(self), indent=indent)
 
 
-def label_type(s):
-    """Narrowest unsigned type of a panel's codes for s classes: uint8 up to 256, else uint16."""
-    return np.min_scalar_type(_stride(s) - 1)
-
-
 def _stride(s):
     """Counters a panel row keeps: s rounded up to a power of two, so a code is a mask away."""
     return 1 << (int(s) - 1).bit_length()
@@ -149,9 +143,10 @@ class LabelPanel:
     """The first k_max neighbours of up to `width` rows, depth-major: all the vote reads.
 
     labels[k-1, j] is the label of row rows[j]'s k-th nearest cross-fold
-    neighbour, in label_type(s); under shadow_min, distances[k-1, j] is its
-    distance (else distances is None). reserve claims the next free
-    columns for a block's rows and pack fills them from the built block;
+    neighbour, in label_type(s), the type a built block holds; under
+    shadow_min, distances[k-1, j] is its distance, else distances is None,
+    and sweep breaks vote ties by that. reserve claims the next free
+    columns for a block's rows and pack copies them from the built block;
     sweep votes the packed rows, overwriting their labels, and empties the
     panel for the next blocks.
     """
@@ -193,28 +188,27 @@ class LabelPanel:
                                      f"does not reach depth {k_max}")
         if not np.array_equal(self.rows[lo:lo + b], block.rows):
             raise InconsistentInputs(f"the block's rows are not the ones reserved at column {lo}")
-        # narrow first: a one-byte transposed copy is the cheap one
-        self.labels[:, lo:lo + b] = block.labels[:, :k_max].astype(self.labels.dtype).T
+        self.labels[:, lo:lo + b] = block.labels[:, :k_max].T
         if self.distances is not None:
             self.distances[:, lo:lo + b] = block.distances[:, :k_max].T
 
 
-def sweep(panel, folds, truth, policy="smallest_code", correct=None):
+def sweep(panel, folds, truth, correct=None):
     """Tally hits at every k = 1..folds.k_max over the rows packed in a LabelPanel.
 
-    Row j's k-th nearest cross-fold neighbour is its vote at depth k. The
-    panel must hold a row and folds.k_max depths, with the rows of one fold
-    contiguous (as they are when the blocks of row_blocks are packed in
-    order), truth must give those rows codes below the panel's s, and a
-    shadow_min vote needs the panel's distances, else InconsistentInputs.
-    The vote overwrites the panel's labels and empties it. Hits are added
-    per fold into `correct`, a (k_max, f) integer tally of any layout that
-    holds the largest fold (a new zeroed F-ordered one of tally_type by
-    default), else InconsistentInputs: sweeping every panel of a blocked
-    run into one tally gives the whole accuracy matrix with one panel in
-    memory. Returns a read-only AccuracyMatrix view of the tally.
+    Row j's k-th nearest cross-fold neighbour is its vote at depth k. Vote
+    ties go under shadow_min when the panel holds distances (its policy),
+    else to the smallest code. The panel must hold a row and folds.k_max
+    depths, with the rows of one fold contiguous (as they are when the
+    blocks of row_blocks are packed in order), and truth must give those
+    rows codes below the panel's s, else InconsistentInputs. The vote
+    overwrites the panel's labels and empties it. Hits are added per fold
+    into `correct`, a (k_max, f) integer tally of any layout that holds the
+    largest fold (a new zeroed F-ordered one of tally_type by default), else
+    InconsistentInputs: sweeping every panel of a blocked run into one tally
+    gives the whole accuracy matrix with one panel in memory. Returns a
+    read-only AccuracyMatrix view of the tally.
     """
-    check_policy(policy)
     truth = np.asarray(truth)
     rows = panel.rows[:panel.size]
     if rows.size == 0:
@@ -226,10 +220,9 @@ def sweep(panel, folds, truth, policy="smallest_code", correct=None):
     truth = truth[rows]
     if truth.min() < 0 or truth.max() >= panel.s:
         raise InconsistentInputs(f"truth codes leave 0..{panel.s - 1}")
-    if policy == "shadow_min" and panel.distances is None:
-        raise InconsistentInputs("a shadow_min vote needs a panel with distances")
     row_folds = folds.fold_of[rows]
-    if np.count_nonzero(np.diff(row_folds)) + 1 != np.unique(row_folds).size:
+    starts = np.r_[0, np.flatnonzero(np.diff(row_folds)) + 1]  # the panel's fold runs
+    if np.unique(row_folds[starts]).size != starts.size:
         raise InconsistentInputs("the rows of one fold are not contiguous in the panel")
     k_max = folds.k_max
     if correct is None:
@@ -240,9 +233,19 @@ def sweep(panel, folds, truth, policy="smallest_code", correct=None):
               and np.iinfo(correct.dtype).max >= folds.fold_sizes.max()):
         raise InconsistentInputs(f"a {correct.dtype} tally cannot count {folds.fold_sizes.max()} rows")
 
-    dists = panel.distances[:, :rows.size] if policy == "shadow_min" else None
+    labels = panel.labels[:, :rows.size]
+    dists = None if panel.distances is None else panel.distances[:, :rows.size]
     with np.errstate(over="ignore"):  # shadow sums may overflow to inf, as the oracle's do
-        _accumulate(correct, panel.labels[:, :rows.size], dists, truth, row_folds, panel.s, policy)
+        # labels[k-1, j] becomes the code of row j's leader at depth k; the
+        # vote's counters are freed before the hit chunks exist (_panel_row_bytes)
+        target = _vote(labels, dists, truth, panel.s).astype(labels.dtype)
+    # fold-major: correct.T[i] is fold i's counts, contiguous in an F-ordered tally
+    ids = _fold_index(row_folds[starts])
+    for lo in range(0, k_max, HIT_CHUNK_DEPTHS):  # no copy of all the hits at the tally's type
+        hits = (labels[lo:lo + HIT_CHUNK_DEPTHS] == target).T
+        if starts.size < rows.size:  # some fold has several rows here (not LOOCV)
+            hits = np.add.reduceat(hits, starts, axis=0, dtype=correct.dtype)
+        correct.T[ids, lo:lo + HIT_CHUNK_DEPTHS] += hits
     panel.size = 0
     return AccuracyMatrix(correct=correct.view(), fold_sizes=folds.fold_sizes.copy(),
                           k_max=k_max, f=folds.f)
@@ -327,22 +330,6 @@ def row_blocks(dataset, folds, memory_budget=DEFAULT_MEMORY_BUDGET, policy="smal
                      lambda m: min(width, max(1, room // (workers * _row_bytes(m, d)))), workers)
 
 
-def _row_bytes(m, d):
-    """Upper bound of the bytes a block's build holds per row with m columns.
-
-    Packing the block into a panel adds its labels' narrow copy, which
-    fits in the same SORT_CELL_BYTES a column.
-    """
-    return SORT_CELL_BYTES * m + 8 * d + 128
-
-
-def _gather_bytes(n, d):
-    """Upper bound of the bytes a build holds whatever its rows: the features
-    of one tile of its columns (of up to n, all of them in a block that spans
-    folds), and the indices and labels of all its columns."""
-    return 8 * d * min(n, tile_columns(d)) + 32 * n
-
-
 def _panel_row_bytes(k_max, s, policy, tally):
     """Upper bound of the bytes a LabelPanel holds per row, its vote included.
 
@@ -381,28 +368,6 @@ def _row_blocks(folds, rows_per_block):
                 yield from np.array_split(fold_rows, pieces)
 
 
-def _accumulate(correct, labels, dists, truth, panel_folds, s, policy):
-    """Add one panel's hits at every depth k into correct[k-1, fold].
-
-    labels[k-1, j] is the label of panel row j's k-th nearest neighbour,
-    overwritten with the code of its leader at depth k (_vote), and
-    dists[k-1, j] its distance (read only under shadow_min), both (k_max, W)
-    arrays. Rows of one fold must be contiguous in the panel. The hits are
-    summed per fold HIT_CHUNK_DEPTHS depths at a time, so no copy of all
-    the panel's hits at the tally's type exists.
-    """
-    # _vote's counters are freed before the hit chunks exist (_panel_row_bytes)
-    target = _vote(labels, dists, truth, s, policy).astype(labels.dtype)
-    starts = np.flatnonzero(np.r_[True, panel_folds[1:] != panel_folds[:-1]])
-    # fold-major: correct.T[i] is fold i's counts, contiguous in an F-ordered tally
-    ids = _fold_index(panel_folds[starts])
-    for lo in range(0, len(labels), HIT_CHUNK_DEPTHS):
-        hits = (labels[lo:lo + HIT_CHUNK_DEPTHS] == target).T
-        if starts.size < len(hits):  # some fold has several rows here (not LOOCV)
-            hits = np.add.reduceat(hits, starts, axis=0, dtype=correct.dtype)
-        correct.T[ids, lo:lo + HIT_CHUNK_DEPTHS] += hits
-
-
 def _fold_index(ids):
     """The tally's index of a panel's fold ids: a slice when they are one
     ascending run (LOOCV, equal folds), which adds in place where a list of
@@ -412,20 +377,22 @@ def _fold_index(ids):
     return ids
 
 
-def _vote(labels, dists, truth, s, policy):
+def _vote(labels, dists, truth, s):
     """Overwrite labels[k-1] with each row's leader code at depth k; returns truth's codes.
 
-    Only the incoming label's counter changes at depth k, so the leader is
-    kept or replaced by that label: O(1) work per vote. Each depth's labels
-    are read into one int64 counter index, row * _stride(s) + label. Shadow
-    sums add distances in ascending-neighbour order, as the oracle does, so
-    the comparisons are exact.
+    Ties go to the smallest code when dists is None, else under shadow_min,
+    by the sums of dists[k-1, j], the distances of the labels. Only the
+    incoming label's counter changes at depth k, so the leader is kept or
+    replaced by that label: O(1) work per vote. Each depth's labels are read
+    into one int64 counter index, row * _stride(s) + label. Shadow sums add
+    distances in ascending-neighbour order, as the oracle does, so the
+    comparisons are exact.
     """
     k_max, w = labels.shape
     stride = _stride(s)
     base = np.arange(w, dtype=np.int64) * stride
     idx = np.empty(w, dtype=np.int64)
-    if policy == "smallest_code":
+    if dists is None:  # smallest_code
         # key = count * stride + (stride - 1 - label): the leader has the
         # largest key, and its low bits are the leader's code stride - 1 - label
         keys = np.tile(np.arange(stride - 1, -1, -1, dtype=np.int64), w)

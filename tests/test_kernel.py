@@ -23,11 +23,12 @@ from conftest import panel_of
 from knnsweep import cli
 from knnsweep.cli import blocked_sweep
 from knnsweep.dataset import Dataset, FoldAssignment, generate_synthetic, stratified_folds
-from knnsweep.distance import METRICS, build_sorted_matrix, sort_rows
+from knnsweep.distance import (METRICS, _gather_bytes, _row_bytes, build_sorted_matrix, label_type,
+                               sort_rows)
 from knnsweep.errors import InconsistentFolds, InconsistentInputs, MemoryBudgetExceeded
 from knnsweep.oracle import FoldDistanceCache, cross_validate
-from knnsweep.sweep import (TIE_POLICIES, LabelPanel, _gather_bytes, _panel_row_bytes, _row_blocks,
-                            _row_bytes, label_type, row_blocks, select_k, sweep, tally_type)
+from knnsweep.sweep import (TIE_POLICIES, LabelPanel, _panel_row_bytes, _row_blocks, row_blocks,
+                            select_k, sweep, tally_type)
 
 sweep_module = importlib.import_module("knnsweep.sweep")
 
@@ -223,7 +224,7 @@ def test_vote_footprint(policy, f):
         correct = np.zeros((fa.k_max, fa.f), dtype=tally_type(fa), order="F")
         tracemalloc.start()
         try:
-            sweep(panel, fa, ds.labels, policy, correct=correct)
+            sweep(panel, fa, ds.labels, correct=correct)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -297,9 +298,9 @@ def test_slice_and_fancy_tally_updates_agree(fold_of, one_run, policy):
             return index
         correct = np.zeros((fa.k_max, fa.f), dtype=tally_type(fa), order="F")
         with mock.patch.object(sweep_module, "_fold_index", spy):
-            sweep(panel_of(fa, ds.s, *blocks, policy=policy), fa, ds.labels, policy, correct)
+            sweep(panel_of(fa, ds.s, *blocks, policy=policy), fa, ds.labels, correct)
             for block in blocks:
-                sweep(panel_of(fa, ds.s, block, policy=policy), fa, ds.labels, policy, correct)
+                sweep(panel_of(fa, ds.s, block, policy=policy), fa, ds.labels, correct)
         tallies.append(correct)
     assert isinstance(indices[0], slice) == one_run
     if one_run:
@@ -312,6 +313,18 @@ def test_slice_and_fancy_tally_updates_agree(fold_of, one_run, policy):
 
 def test_panel_codes_are_narrowest_unsigned():
     assert [label_type(s) for s in (2, 3, 256, 257, 65536)] == [np.uint8] * 3 + [np.uint16] * 2
+
+
+@pytest.mark.parametrize("s, code", [(3, np.uint8), (300, np.uint16)])
+def test_blocks_carry_the_panel_codes(s, code):
+    # a build gathers the codes a panel holds, so packing a block casts nothing
+    ds = generate_synthetic(400, 2, s, 1.0, seed=s)
+    fa = stratified_folds(ds, 5, seed=s)
+    for rows in (np.flatnonzero(fa.fold_of == 0), np.arange(ds.n)[:7]):  # one fold, or spanning
+        block = build_sorted_matrix(ds, fa, rows=rows)
+        assert block.labels.dtype == label_type(ds.s) == code
+        assert block.labels.dtype == LabelPanel(1, fa.k_max, ds.s).labels.dtype
+        np.testing.assert_array_equal(block.labels, ds.labels[block.sources])
 
 
 def test_budget_refused_only_below_one_row(toy):
@@ -448,6 +461,22 @@ def test_seconds_cover_the_call(toy):
     assert list(seconds) == ["distance", "sort", "sweep", "total"]
     phases = seconds["distance"] + seconds["sort"] + seconds["sweep"]
     assert min(seconds.values()) > 0 and phases <= seconds["total"]
+
+
+def test_seconds_cover_slow_submits():
+    # a submit waits for the GIL while the builds run; timed with the waits
+    # for the builds, 2 ms submits of 50 blocks stay inside the phases
+    class SlowSubmits(cli.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            time.sleep(0.002)
+            return super().submit(*args, **kwargs)
+
+    ds, fa = make_instance(400, 3, 3, False, "stratified", 5, seed=5)
+    with workers(2), many_blocks(ds, fa, 8), mock.patch.object(cli, "ThreadPoolExecutor", SlowSubmits):
+        assert len(list(row_blocks(ds, fa))) >= 40
+        _, seconds = blocked_sweep(ds, fa)
+    phases = seconds["distance"] + seconds["sort"] + seconds["sweep"]
+    assert phases >= 0.95 * seconds["total"], seconds
 
 
 def test_inconsistent_folds(toy):

@@ -109,8 +109,17 @@ class TestSweep:
             sweep(panel, fa, ds.labels[:3])
         with pytest.raises(InconsistentInputs):  # a code the panel's s does not cover
             sweep(panel, fa, np.array([0, 0, 2, 0]))
-        with pytest.raises(InconsistentInputs):  # no distances to break ties with
-            sweep(panel, fa, ds.labels, "shadow_min")
+
+    def test_pack_copies_hand_built_codes(self):
+        # int32 labels, not a built block's label_type(s): the panel holds the same codes
+        m = make_matrix(distances=[[1.0, 2.0]] * 4,
+                        labels=[[2, 0], [1, 2], [0, 1], [2, 2]],
+                        sources=[[2, 3], [2, 3], [0, 1], [0, 1]],
+                        f=2)
+        fa = FoldAssignment(fold_of=np.array([0, 0, 1, 1]), f=2)
+        panel = panel_of(fa, 3, m)
+        assert panel.labels.dtype == np.uint8
+        np.testing.assert_array_equal(panel.labels, m.labels.T)
 
     def test_policies_agree_without_ties(self):
         # distinct per-pair distances and odd k majorities rarely tie, but the
